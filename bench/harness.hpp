@@ -141,8 +141,7 @@ inline void run_figure(const FigureConfig& cfg, const Dataset& ds, const Command
               with_commas(stats.triangles).c_str(), stats.degeneracy, stats.edges_per_node,
               stats.triangles_per_node, stats.triangles_per_edge);
   std::printf("# paper reference: %s\n", cfg.paper_ref.c_str());
-  std::printf("# %d repetitions per point (paper: >=10), 1 worker unless OMP_NUM_THREADS set\n\n",
-              reps);
+  std::printf("# %d repetitions per point (paper: >=10), %d workers\n\n", reps, num_workers());
 
   Table table({"k", "c3List[s]", "ArbCount[s]", "kcList[s]", "std%max", "#cliques", "fastest",
                "c3/best-base"});

@@ -4,12 +4,12 @@
 #   2. Debug + ASan/UBSan          (memory + UB coverage for the parallel paths)
 #   3. Release, OpenMP disabled    (the exactly-deterministic serial fallback)
 #   4. TSan, OpenMP disabled       (data-race coverage for the concurrent
-#      query engine: clique + parallel + snapshot + service + net labels
-#      only. OpenMP stays off because libgomp is not TSan-instrumented and
-#      would drown the report in false positives; the concurrency under test
-#      comes from std::threads.)
+#      query engine: clique + parallel + snapshot + service + net + obs
+#      labels only. OpenMP stays off because libgomp is not
+#      TSan-instrumented and would drown the report in false positives; the
+#      concurrency under test comes from std::threads.)
 #
-# Each config runs the full ctest suite (tsan: the clique|parallel labels):
+# Each config runs the full ctest suite (tsan: the labels listed above):
 #   cmake -B <dir> -S . && cmake --build <dir> -j && ctest --test-dir <dir>
 #
 # Usage: ./ci.sh [config ...]   with configs from: release asan serial tsan
@@ -30,13 +30,12 @@ run_config() {
   local dir="build-ci-${name}"
   local label_args=()
   if [ "${name}" = "tsan" ]; then
-    # The race-sensitive surfaces: the concurrent engine/batch/stream suites,
-    # the parallel substrate, concurrent queries over snapshot-loaded
-    # engines, the multi-graph CliqueService, the TCP front end (answer
-    # cache + admission + server threads), the telemetry layer the hot
-    # paths write into (sharded counters, trace ring, slow-query log), and
-    # the scatter-gather sharded engine's parallel sub-queries.
-    label_args=(-L "clique|parallel|snapshot|service|net|obs|shard")
+    # The race-sensitive surfaces: the concurrent engine/batch suites, the
+    # parallel substrate, concurrent queries over snapshot-loaded engines,
+    # the multi-graph CliqueService, the TCP front end (answer cache +
+    # admission + server threads), and the telemetry layer the hot paths
+    # write into (per-thread counter stripes, trace ring, slow-query log).
+    label_args=(-L "clique|parallel|snapshot|service|net|obs")
   fi
   echo "==== [${name}] configure ===="
   cmake -B "${dir}" -S . "$@"
@@ -62,15 +61,6 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_prepared_sweep" --out BENCH_pr2.json
-    # Concurrency smoke: the mixed query set through the batch executor vs
-    # one-at-a-time, cross-checked result by result. Emits BENCH_pr3.json
-    # (sequential vs batch seconds + speedup per stand-in).
-    echo "==== [${name}] bench smoke (concurrent queries) ===="
-    if [ ! -x "${dir}/bench/bench_concurrent_queries" ]; then
-      echo "bench_concurrent_queries not built (is C3_BUILD_BENCH off?)" >&2
-      exit 1
-    fi
-    "${dir}/bench/bench_concurrent_queries" --out BENCH_pr3.json
     # Snapshot smoke: cold prepare vs mmap open per smoke graph, counts
     # cross-checked cold vs loaded. Emits BENCH_pr4.json (open/prepare
     # speedup — the acceptance bar is >= 10x on the largest graph).
@@ -80,15 +70,6 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_snapshot" --out BENCH_pr4.json
-    # Service smoke: the same query mix through the two-graph catalog
-    # (in-memory + snapshot) sequentially vs batch vs streaming, answers
-    # cross-checked mode by mode. Emits BENCH_pr5.json.
-    echo "==== [${name}] bench smoke (service) ===="
-    if [ ! -x "${dir}/bench/bench_service" ]; then
-      echo "bench_service not built (is C3_BUILD_BENCH off?)" >&2
-      exit 1
-    fi
-    "${dir}/bench/bench_service" --out BENCH_pr5.json
     # Server smoke: the request mix over loopback TCP, N concurrent clients,
     # cold cache vs warm cache, every wire answer cross-checked against a
     # direct service run. Emits BENCH_pr6.json.
@@ -116,15 +97,6 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_obs" --out BENCH_pr9.json --reps 7
-    # Shard smoke: 1/2/4-shard ablation per smoke graph (in-memory and
-    # manifest-opened), every counting kind cross-checked against the
-    # unsharded engine. Emits BENCH_pr10.json.
-    echo "==== [${name}] bench smoke (shard) ===="
-    if [ ! -x "${dir}/bench/bench_shard" ]; then
-      echo "bench_shard not built (is C3_BUILD_BENCH off?)" >&2
-      exit 1
-    fi
-    "${dir}/bench/bench_shard" --out BENCH_pr10.json
     # Wire-level metrics smoke: a real c3serve on an ephemeral port, queries
     # driven through the socket, `metrics` scraped twice and checked for
     # valid exposition + monotonically increasing request counters.

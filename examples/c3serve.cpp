@@ -21,16 +21,10 @@
 // the quickest way to poke at the protocol.
 //
 // Flags:
-//   --snapshot ID=PATH   register a .c3snap or sharded .c3shard manifest
-//                        (repeatable; lazily opened — the magic decides)
+//   --snapshot ID=PATH   register a .c3snap (repeatable; lazily opened)
 //   --graph ID=PATH      register an edge-list/METIS/MatrixMarket graph
 //                        file (repeatable; prepared in-process)
 //   --demo               register two generated demo graphs
-//   --shards N           partition every --graph/--demo registration into N
-//                        vertex-ownership shards served scatter-gather
-//                        (0 = unsharded, default; snapshots carry their own
-//                        shard count)
-//   --shard-policy P     vertex | edge range balancing (default edge)
 //   --bind ADDR          bind address            (default 127.0.0.1)
 //   --port N             TCP port, 0 = ephemeral (default 7433)
 //   --inflight N         concurrent queries per graph (default 4)
@@ -80,7 +74,6 @@ bool split_spec(const std::string& spec, std::string& id, std::string& path) {
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--snapshot ID=PATH]... [--graph ID=PATH]... [--demo]\n"
-      "          [--shards N] [--shard-policy vertex|edge]\n"
       "          [--bind ADDR] [--port N] [--inflight N] [--inflight-total N]\n"
       "          [--cache N] [--idle-timeout SEC] [--prepare]\n"
       "          [--slow-query-ms MS] [--slow-query-log FILE]\n"
@@ -102,30 +95,6 @@ int main(int argc, char** argv) {
 
   CliqueService service;
   std::vector<std::string> ids;
-  shard::ShardingOptions sharding;
-  sharding.shards = static_cast<int>(cli.get_int("shards", 0));
-  {
-    const std::string policy = cli.get_string("shard-policy", "edge");
-    if (policy == "vertex") {
-      sharding.policy = shard::PartitionPolicy::VertexRange;
-    } else if (policy == "edge") {
-      sharding.policy = shard::PartitionPolicy::EdgeBlock;
-    } else {
-      std::fprintf(stderr, "c3serve: bad --shard-policy '%s' (want vertex|edge)\n",
-                   policy.c_str());
-      return 2;
-    }
-  }
-  // In-memory registrations honor --shards; snapshots carry their own
-  // partition (or none) in the file.
-  const auto add_in_memory = [&](const std::string& id, Graph g) {
-    if (sharding.shards > 1) {
-      service.add_sharded_graph(id, g, sharding);
-    } else {
-      service.add_graph(id, std::move(g));
-    }
-    ids.push_back(id);
-  };
   try {
     for (const std::string& spec : cli.get_all("snapshot")) {
       std::string id, path;
@@ -142,11 +111,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "c3serve: bad --graph '%s' (want ID=PATH)\n", spec.c_str());
         return 2;
       }
-      add_in_memory(id, read_graph_any(path));
+      service.add_graph(id, read_graph_any(path));
+      ids.push_back(id);
     }
     if (cli.has_flag("demo")) {
-      add_in_memory("social", social_like(3000, 24'000, 0.4, 7));
-      add_in_memory("er", erdos_renyi(2000, 20'000, 11));
+      service.add_graph("social", social_like(3000, 24'000, 0.4, 7));
+      service.add_graph("er", erdos_renyi(2000, 20'000, 11));
+      ids.push_back("social");
+      ids.push_back("er");
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "c3serve: %s\n", e.what());

@@ -5,11 +5,7 @@
 //   c3tool prepare  --in g.txt --out g.c3snap [--alg A]   (build the engine's
 //                   artifacts offline and serialize them into a snapshot)
 //   c3tool inspect  --in g.c3snap   (header, options fingerprint, artifact
-//                   mask, section table — without loading any artifact;
-//                   sharded manifests get the per-shard directory view)
-//   c3tool shard    --in g.txt --out g.c3shard --shards 4 [--policy edge]
-//                   (partition, prepare every shard, write one sharded
-//                   manifest servable as a single catalog entry)
+//                   mask, section table — without loading any artifact)
 //   c3tool count    --in g.txt --k 7 [--alg c3list|cd|hybrid|kclist|arbcount]
 //   c3tool sweep    --in g.txt [--kmin 3 --kmax 0] [--alg A]   (prepare once,
 //                   query every k; kmax 0 = up to the clique number)
@@ -302,75 +298,8 @@ int cmd_batch(const CommandLine& cli) {
   return 0;
 }
 
-shard::PartitionPolicy parse_policy(const std::string& name) {
-  if (name == "vertex") return shard::PartitionPolicy::VertexRange;
-  if (name == "edge") return shard::PartitionPolicy::EdgeBlock;
-  std::fprintf(stderr, "c3tool: unknown partition policy '%s' (want vertex|edge)\n", name.c_str());
-  std::exit(2);
-}
-
-int cmd_shard(const CommandLine& cli) {
-  const std::string in = cli.get_string("in", "graph.txt");
-  const std::string out = cli.get_string("out", "graph.c3shard");
-  shard::ShardingOptions sharding;
-  sharding.shards = static_cast<int>(cli.get_int("shards", 2));
-  sharding.policy = parse_policy(cli.get_string("policy", "edge"));
-  const Graph g = read_graph_any(in);
-  const CliqueOptions opts = options_from_cli(cli);
-  WallTimer timer;
-  const shard::ShardedEngine engine(g, sharding, opts);
-  snapshot::write_sharded(out, engine);  // forces preparation of every shard
-  const double total = timer.seconds();
-  const snapshot::ShardManifestInfo info = snapshot::inspect_sharded(out);
-  std::printf("sharded %s into %zu %s shards with %s in %.3f s\n", in.c_str(),
-              engine.num_shards(), shard::partition_policy_name(sharding.policy),
-              algorithm_name(opts.algorithm), total);
-  Table t({"shard", "owned", "halo", "|V_s|", "|E_s|", "image[B]", "halo image[B]"});
-  for (std::size_t i = 0; i < info.shards.size(); ++i) {
-    const snapshot::ShardSectionInfo& s = info.shards[i];
-    t.add_row({std::to_string(i),
-               strfmt("[%llu, %llu)", static_cast<unsigned long long>(s.first_owned),
-                      static_cast<unsigned long long>(s.first_owned + s.owned_count)),
-               with_commas(s.halo_count), with_commas(s.num_nodes), with_commas(s.num_edges),
-               with_commas(s.snap_bytes), with_commas(s.halo_snap_bytes)});
-  }
-  t.print();
-  std::printf("wrote %s: %s bytes, %u vertices, %llu edges\n", out.c_str(),
-              with_commas(info.file_bytes).c_str(), g.num_nodes(),
-              static_cast<unsigned long long>(g.num_edges()));
-  return 0;
-}
-
-int cmd_inspect_sharded(const std::string& in) {
-  const snapshot::ShardManifestInfo info = snapshot::inspect_sharded(in);
-  const CliqueOptions& o = info.options;
-  std::printf("%s: c3 sharded manifest v%u, %s bytes, %zu %s shards\n", in.c_str(),
-              info.format_version, with_commas(info.file_bytes).c_str(), info.shards.size(),
-              shard::partition_policy_name(info.policy));
-  std::printf("graph: %s vertices, %s edges\n", with_commas(info.num_nodes).c_str(),
-              with_commas(info.num_edges).c_str());
-  std::printf("fingerprint: alg %s, vertex order %d, edge order %d, eps %g, seed %llu%s%s\n",
-              algorithm_name(o.algorithm), static_cast<int>(o.vertex_order),
-              static_cast<int>(o.edge_order), o.eps,
-              static_cast<unsigned long long>(o.order_seed),
-              o.distance_pruning ? "" : ", no-prune", o.triangle_growth ? ", triangle-growth" : "");
-  Table t({"shard", "owned", "halo", "|V_s|", "|E_s|", "image offset", "image[B]", "fingerprint"});
-  for (std::size_t i = 0; i < info.shards.size(); ++i) {
-    const snapshot::ShardSectionInfo& s = info.shards[i];
-    t.add_row({std::to_string(i),
-               strfmt("[%llu, %llu)", static_cast<unsigned long long>(s.first_owned),
-                      static_cast<unsigned long long>(s.first_owned + s.owned_count)),
-               with_commas(s.halo_count), with_commas(s.num_nodes), with_commas(s.num_edges),
-               std::to_string(s.snap_offset), with_commas(s.snap_bytes),
-               strfmt("0x%016llx", static_cast<unsigned long long>(s.snap_fingerprint))});
-  }
-  t.print();
-  return 0;
-}
-
 int cmd_inspect(const CommandLine& cli) {
   const std::string in = cli.get_string("in", "graph.c3snap");
-  if (snapshot::is_shard_manifest(in)) return cmd_inspect_sharded(in);
   const snapshot::SnapshotInfo info = snapshot::inspect(in);
   const CliqueOptions& o = info.options;
   std::printf("%s: c3 snapshot v%u (artifact schema %u), %s bytes\n", in.c_str(),
@@ -489,18 +418,14 @@ int cmd_convert(const CommandLine& cli) {
 
 void usage() {
   std::puts(
-      "usage: c3tool <gen|stats|prepare|shard|inspect|count|sweep|maxclique|batch|trace"
+      "usage: c3tool <gen|stats|prepare|inspect|count|sweep|maxclique|batch|trace"
       "|convert> [--flags]\n"
       "  gen       --kind K --n N [--m M --seed S] --out FILE\n"
       "  stats     --in FILE\n"
       "  prepare   --in FILE --out FILE.c3snap [--alg A]  (build artifacts offline,\n"
       "            serialize graph + prepared engine into an mmap-able snapshot)\n"
-      "  shard     --in FILE --out FILE.c3shard [--shards 2] [--policy vertex|edge]\n"
-      "            [--alg A]  (partition into vertex-ownership shards, prepare each,\n"
-      "            write one sharded manifest — one catalog entry, N engines)\n"
       "  inspect   --in FILE.c3snap  (header, fingerprint, artifact mask, sections\n"
-      "            — validates the header without loading any artifact; a sharded\n"
-      "            manifest prints its per-shard directory instead)\n"
+      "            — validates the header without loading any artifact)\n"
       "  count     --in FILE --k K [--alg A] [--triangle-growth] [--no-prune]\n"
       "  sweep     --in FILE [--kmin 3] [--kmax 0] [--alg A]  (prepare once, all k)\n"
       "  maxclique --in FILE\n"
@@ -543,7 +468,6 @@ int main(int argc, char** argv) {
     if (command == "gen") return cmd_gen(cli);
     if (command == "stats") return cmd_stats(cli);
     if (command == "prepare") return cmd_prepare(cli);
-    if (command == "shard") return cmd_shard(cli);
     if (command == "inspect") return cmd_inspect(cli);
     if (command == "count") return cmd_count(cli);
     if (command == "sweep") return cmd_sweep(cli);

@@ -14,17 +14,12 @@
 //                           run(Query) or the named wrappers, concurrently
 //                           from any number of threads)
 //   Batched queries         clique/batch.hpp (QueryBatch: schedule a mixed
-//                           query set; QueryStream: long-lived
-//                           submit/poll/drain loop)
+//                           query set)
 //   Graph catalog           clique/service.hpp (CliqueService: many named
 //                           graphs — in-memory or snapshot-backed — behind
 //                           one run(id, query) surface)
 //   Snapshots               snapshot/snapshot.hpp (serialize a prepared
 //                           engine offline, mmap it back at serve time)
-//   Sharding                shard/partition.hpp, shard/sharded_engine.hpp
-//                           (vertex-ownership partition + scatter-gather
-//                           engine), snapshot/shard_manifest.hpp (one-file
-//                           sharded snapshots)
 //   Individual algorithms   clique/c3list.hpp, clique/c3list_cd.hpp,
 //                           clique/hybrid.hpp, clique/kclist.hpp,
 //                           clique/arbcount.hpp, clique/bruteforce.hpp
@@ -69,9 +64,6 @@
 #include "order/community_degeneracy.hpp"
 #include "order/degeneracy.hpp"
 #include "parallel/parallel.hpp"
-#include "shard/partition.hpp"
-#include "shard/sharded_engine.hpp"
-#include "snapshot/shard_manifest.hpp"
 #include "snapshot/snapshot.hpp"
 #include "triangle/communities.hpp"
 #include "triangle/triangle_count.hpp"

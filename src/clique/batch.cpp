@@ -3,28 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <stdexcept>
+#include <mutex>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "parallel/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace c3 {
 namespace {
 
-/// Scheduler depth gauges (process-global, aggregated over all instances —
-/// the serving layer runs one scheduler per engine, and a monitor wants the
-/// machine-wide picture anyway). The gauges move unconditionally so they
-/// stay balanced across obs::enabled() flips; each move is one relaxed
-/// fetch_add on a path that already holds the scheduler mutex.
-obs::Gauge& stream_queue_depth_gauge() {
-  static obs::Gauge& g = obs::Registry::global().gauge("c3_stream_queue_depth");
-  return g;
-}
-obs::Gauge& stream_inflight_gauge() {
-  static obs::Gauge& g = obs::Registry::global().gauge("c3_stream_inflight");
-  return g;
-}
+/// Light + heavy queries currently executing inside any QueryBatch
+/// (process-global). The gauge moves unconditionally so it stays balanced
+/// across obs::enabled() flips.
 obs::Gauge& batch_inflight_gauge() {
   static obs::Gauge& g = obs::Registry::global().gauge("c3_batch_inflight");
   return g;
@@ -102,22 +92,6 @@ void run_light_concurrent(const PreparedGraph& engine, const std::vector<Query>&
 
 }  // namespace
 
-BatchResult to_batch_result(Answer answer) {
-  BatchResult r;
-  r.kind = answer.kind;
-  r.k = answer.k;
-  r.count = answer.count;
-  r.found = answer.found;
-  r.witness = std::move(answer.witness);
-  r.cliques = std::move(answer.cliques);
-  r.per_counts = std::move(answer.per_counts);
-  r.spectrum = std::move(answer.spectrum);
-  r.omega = answer.omega;
-  r.stats = answer.stats;
-  r.seconds = answer.seconds;
-  return r;
-}
-
 int QueryBatch::add(Query query) {
   queries_.push_back(std::move(query));
   return static_cast<int>(queries_.size()) - 1;
@@ -184,151 +158,6 @@ std::vector<Answer> QueryBatch::answers(int concurrency) const {
     batch_inflight_gauge().sub();
   }
   return results;
-}
-
-std::vector<BatchResult> QueryBatch::run(int concurrency) const {
-  std::vector<Answer> typed = answers(concurrency);
-  std::vector<BatchResult> results;
-  results.reserve(typed.size());
-  for (Answer& a : typed) results.push_back(to_batch_result(std::move(a)));
-  return results;
-}
-
-std::vector<BatchResult> run_query_batch(const PreparedGraph& engine,
-                                         const std::vector<BatchQuery>& queries,
-                                         int concurrency) {
-  QueryBatch batch(engine);
-  for (const BatchQuery& q : queries) (void)batch.add(q);
-  return batch.run(concurrency);
-}
-
-// ---------------------------------------------------------------- streaming
-
-QueryStream::QueryStream(const PreparedGraph& engine, int executors) : engine_(&engine) {
-  heavy_threshold_ = heavy_threshold(engine.graph());
-  const int pool = num_workers();
-  const int count = executors > 0 ? executors : std::clamp(pool, 1, 8);
-  const int split = std::max(1, pool / count);
-  executors_.reserve(static_cast<std::size_t>(count));
-  try {
-    for (int t = 0; t < count; ++t) {
-      executors_.emplace_back([this, split] { executor_loop(split); });
-    }
-  } catch (...) {
-    close();  // join whatever started, then surface the spawn failure
-    throw;
-  }
-}
-
-QueryStream::~QueryStream() { close(); }
-
-std::uint64_t QueryStream::submit(Query query) {
-  std::uint64_t ticket = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (closing_) throw std::logic_error("QueryStream: submit after close()");
-    ticket = next_ticket_++;
-    queue_.emplace_back(ticket, std::move(query));
-    stream_queue_depth_gauge().add();
-  }
-  work_ready_.notify_one();
-  return ticket;
-}
-
-std::optional<std::pair<std::uint64_t, Answer>> QueryStream::poll() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (completed_.empty()) return std::nullopt;
-  const auto it =
-      std::min_element(completed_.begin(), completed_.end(),
-                       [](const Completed& a, const Completed& b) { return a.ticket < b.ticket; });
-  Completed done = std::move(*it);
-  completed_.erase(it);
-  if (done.error != nullptr) std::rethrow_exception(done.error);
-  return std::make_pair(done.ticket, std::move(done.answer));
-}
-
-std::vector<std::pair<std::uint64_t, Answer>> QueryStream::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-  std::sort(completed_.begin(), completed_.end(),
-            [](const Completed& a, const Completed& b) { return a.ticket < b.ticket; });
-  for (std::size_t i = 0; i < completed_.size(); ++i) {
-    if (completed_[i].error != nullptr) {
-      // Rethrow the first failure (by ticket); every other completed answer
-      // stays pollable after the caller catches.
-      const std::exception_ptr error = completed_[i].error;
-      completed_.erase(completed_.begin() + static_cast<std::ptrdiff_t>(i));
-      std::rethrow_exception(error);
-    }
-  }
-  std::vector<std::pair<std::uint64_t, Answer>> out;
-  out.reserve(completed_.size());
-  for (Completed& done : completed_) out.emplace_back(done.ticket, std::move(done.answer));
-  completed_.clear();
-  return out;
-}
-
-std::size_t QueryStream::pending() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + in_flight_;
-}
-
-void QueryStream::close() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    closing_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& th : executors_) th.join();
-  executors_.clear();
-}
-
-void QueryStream::executor_loop(int split_cap) {
-  for (;;) {
-    std::pair<std::uint64_t, Query> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [&] { return closing_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // closing and nothing left to do
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-      stream_queue_depth_gauge().sub();
-      stream_inflight_gauge().add();
-    }
-
-    Completed done;
-    done.ticket = job.first;
-    try {
-      // Force shared artifacts with the *full* pool before capping this
-      // thread — the engine's latch makes this build-exactly-once, so at
-      // most one streamed query ever pays preparation (and none report it:
-      // prepare() absorbs the cost).
-      if (query_needs_artifacts(job.second)) engine_->prepare();
-      if (needs_upper_bound(job.second)) (void)engine_->clique_number_upper_bound();
-
-      if (estimate_query_cost(*engine_, job.second) > heavy_threshold_) {
-        // Heavy queries serialize on one slot and keep the full pool, like
-        // QueryBatch's sequential phase; light queries keep flowing on the
-        // other executors meanwhile.
-        const std::lock_guard<std::mutex> heavy_lock(heavy_slot_);
-        done.answer = engine_->run(job.second);
-      } else {
-        const WorkerCapScope cap(split_cap);
-        done.answer = engine_->run(job.second);
-      }
-    } catch (...) {
-      done.error = std::current_exception();
-    }
-
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      completed_.push_back(std::move(done));
-      --in_flight_;
-      stream_inflight_gauge().sub();
-    }
-    all_done_.notify_all();
-  }
 }
 
 }  // namespace c3

@@ -1,10 +1,9 @@
-// QueryBatch / QueryStream — schedule sets and streams of typed queries
-// against one PreparedGraph.
+// QueryBatch — schedules a set of typed queries against one PreparedGraph.
 //
 // A serving layer rarely gets one query at a time: it gets a mixed bag of
 // counts, decision probes, spectra, and max-clique requests against the same
-// prepared graph. Both executors here run public Query values (query.hpp)
-// and return typed Answers, with two-level parallelism:
+// prepared graph. QueryBatch runs public Query values (query.hpp) and
+// returns typed Answers, with two-level parallelism:
 //
 //   * *across* queries — cheap queries are issued concurrently from a pool
 //     of executor threads, each leasing its own QueryScratch from the
@@ -22,87 +21,26 @@
 // slowest query. Per-query worker caps (Query::opts.max_workers) compose
 // with the executor split by minimum.
 //
-// QueryBatch is the one-shot form: add queries, run(), results in
-// submission order. QueryStream is the long-lived form a server loop embeds:
-// submit() enqueues a query and returns a ticket, executor threads answer
-// them as they arrive, poll() hands back completed answers without blocking,
-// drain() waits for everything in flight. The engine's artifacts are forced
-// before the first non-trivial query executes, so at most one query ever
-// pays preparation.
+// Add queries, then answers(): results come back in submission order. The
+// engine's artifacts are forced before the first non-trivial query
+// executes, so at most one query ever pays preparation.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <exception>
-#include <mutex>
-#include <optional>
-#include <thread>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
-#include "clique/common.hpp"
 #include "clique/engine.hpp"
 #include "clique/query.hpp"
-#include "clique/spectrum.hpp"
-#include "graph/types.hpp"
 
 namespace c3 {
-
-/// Legacy batch query (pre-Query surface): kind + k/kmax without per-query
-/// options. Kept as a thin conversion onto Query so existing callers and
-/// query files keep working.
-struct BatchQuery {
-  QueryKind kind = QueryKind::Count;
-  int k = 0;
-  int kmax = 0;
-
-  [[nodiscard]] Query to_query() const {
-    Query q;
-    q.kind = kind;
-    q.k = k;
-    q.kmax = kmax;
-    return q;
-  }
-};
-
-/// Legacy result view of an Answer. Which fields are meaningful depends on
-/// `kind`: Count -> count + stats; HasClique -> found; FindClique -> found +
-/// witness; PerVertexCounts / PerEdgeCounts -> per_counts; Spectrum ->
-/// spectrum; MaxClique -> omega + witness. `seconds` is the query's wall
-/// time inside the batch.
-struct BatchResult {
-  QueryKind kind = QueryKind::Count;
-  int k = 0;
-  count_t count = 0;
-  bool found = false;
-  std::vector<node_t> witness;
-  std::vector<std::vector<node_t>> cliques;  ///< List -> the materialized cliques
-  std::vector<count_t> per_counts;
-  CliqueSpectrum spectrum;
-  node_t omega = 0;
-  CliqueStats stats;
-  double seconds = 0.0;
-};
-
-/// Flattens a typed Answer into the legacy result struct.
-[[nodiscard]] BatchResult to_batch_result(Answer answer);
 
 class QueryBatch {
  public:
   /// Binds the batch to `engine` (not copied — must outlive the batch).
   explicit QueryBatch(const PreparedGraph& engine) : engine_(&engine) {}
 
-  // Each adder returns the query's index into the result vector.
+  /// Appends `query`; returns its index into the answers() vector.
   int add(Query query);
-  int add(const BatchQuery& query) { return add(query.to_query()); }
-  int add_count(int k) { return add(BatchQuery{QueryKind::Count, k, 0}); }
-  int add_has_clique(int k) { return add(BatchQuery{QueryKind::HasClique, k, 0}); }
-  int add_find_clique(int k) { return add(BatchQuery{QueryKind::FindClique, k, 0}); }
-  int add_per_vertex_counts(int k) { return add(BatchQuery{QueryKind::PerVertexCounts, k, 0}); }
-  int add_per_edge_counts(int k) { return add(BatchQuery{QueryKind::PerEdgeCounts, k, 0}); }
-  int add_spectrum(int kmax = 0) { return add(BatchQuery{QueryKind::Spectrum, 0, kmax}); }
-  int add_max_clique() { return add(BatchQuery{QueryKind::MaxClique, 0, 0}); }
 
   [[nodiscard]] std::size_t size() const noexcept { return queries_.size(); }
   [[nodiscard]] const std::vector<Query>& queries() const noexcept { return queries_; }
@@ -115,89 +53,9 @@ class QueryBatch {
   /// may be called again (everything re-executes against the warm engine).
   [[nodiscard]] std::vector<Answer> answers(int concurrency = 0) const;
 
-  /// Legacy form of answers(): the same execution, flattened into
-  /// BatchResults.
-  [[nodiscard]] std::vector<BatchResult> run(int concurrency = 0) const;
-
  private:
   const PreparedGraph* engine_;
   std::vector<Query> queries_;
-};
-
-/// Convenience one-call form: batch-execute `queries` against `engine`.
-[[nodiscard]] std::vector<BatchResult> run_query_batch(const PreparedGraph& engine,
-                                                       const std::vector<BatchQuery>& queries,
-                                                       int concurrency = 0);
-
-/// Streaming executor for a long-lived serving loop: queries go in one at a
-/// time, answers come out as they complete.
-///
-///   QueryStream stream(engine, /*executors=*/4);
-///   const std::uint64_t ticket = stream.submit(query);
-///   while (auto done = stream.poll()) deliver(done->first, done->second);
-///   for (auto& [t, answer] : stream.drain()) deliver(t, answer);
-///
-/// `executors` worker threads (0 = one per pool worker, at most 8) pull
-/// queries off the submission queue FIFO. Each executor caps its internal
-/// parallelism to pool/executors via a WorkerCapScope; a query estimated
-/// heavy (estimate_query_cost) additionally serializes on a heavy-query slot
-/// and takes the full pool, like QueryBatch's sequential phase. Per-query
-/// caps compose by minimum. submit()/poll()/drain() are safe to call from
-/// any number of threads. A query that throws surfaces its exception from
-/// the poll()/drain() call that would have returned its answer.
-class QueryStream {
- public:
-  explicit QueryStream(const PreparedGraph& engine, int executors = 0);
-
-  /// Joins the executors; queries still queued are answered first (close()).
-  ~QueryStream();
-
-  QueryStream(const QueryStream&) = delete;
-  QueryStream& operator=(const QueryStream&) = delete;
-
-  /// Enqueues a query; returns its ticket (tickets count up from 0 in
-  /// submission order). Throws std::logic_error after close().
-  std::uint64_t submit(Query query);
-
-  /// One completed, not-yet-delivered answer (lowest ticket first), or
-  /// nullopt when none is ready. Never blocks. Rethrows the query's
-  /// exception if that query failed.
-  [[nodiscard]] std::optional<std::pair<std::uint64_t, Answer>> poll();
-
-  /// Blocks until every submitted query has completed, then returns all
-  /// undelivered answers in ticket order. Rethrows the first failed query's
-  /// exception (after all in-flight queries finished).
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, Answer>> drain();
-
-  /// Queries submitted but not yet completed.
-  [[nodiscard]] std::size_t pending() const;
-
-  /// Stops accepting new queries, finishes the queue, joins the executors.
-  /// Idempotent. Answers already completed remain pollable.
-  void close();
-
- private:
-  struct Completed {
-    std::uint64_t ticket = 0;
-    Answer answer;
-    std::exception_ptr error;
-  };
-
-  void executor_loop(int split_cap);
-
-  const PreparedGraph* engine_;
-  double heavy_threshold_ = 0.0;
-
-  mutable std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  std::deque<std::pair<std::uint64_t, Query>> queue_;
-  std::vector<Completed> completed_;  // kept sorted by ticket on delivery
-  std::uint64_t next_ticket_ = 0;
-  std::size_t in_flight_ = 0;
-  bool closing_ = false;
-  std::mutex heavy_slot_;  // at most one heavy query runs at a time
-  std::vector<std::thread> executors_;
 };
 
 }  // namespace c3

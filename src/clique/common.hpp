@@ -116,13 +116,12 @@ inline void merge_stats(CliqueResult& result, count_t count, const LocalCounters
   result.stats.cliques = result.count;
 }
 
-/// Folds one sub-engine's stats into a cross-engine aggregate — the merge
-/// point for answer composition (a ShardedEngine folds each shard's main and
-/// halo sub-answers through here). Work counters and wall times sum; the
-/// structural quality figures (gamma, order_quality) take the max, since the
-/// aggregate is only as well-ordered as its worst part. `cliques` sums too,
-/// but a composing caller whose merge is not a plain sum (inclusion-
-/// exclusion) must overwrite it with the merged count afterwards.
+/// Folds one query's stats into a running total across queries (e.g. a
+/// benchmark's per-layer totals over a query set). Work counters, `cliques`
+/// and both wall-clock fields (preprocess_seconds, search_seconds) sum, so
+/// the total's times are the summed time of its queries, not the longest
+/// one. The structural quality figures (gamma, order_quality) take the max,
+/// since the aggregate is only as well-ordered as its worst part.
 inline void accumulate_stats(CliqueStats& into, const CliqueStats& from) noexcept {
   into.cliques += from.cliques;
   into.top_level_tasks += from.top_level_tasks;

@@ -33,11 +33,8 @@
 //    Queries carry their own resource control — per-query worker cap,
 //    wall-clock budget, cancel token, result limit — honored uniformly by
 //    every kind.
-//  * Engines compose: shard::ShardedEngine (shard/sharded_engine.hpp) runs
-//    one PreparedGraph per shard and merges the per-shard Answers; the
-//    CliqueStats merge hook is accumulate_stats (common.hpp), which sums the
-//    work counters and takes the max of the wall-clock fields, so a merged
-//    answer's stats read like one engine's.
+//  * Stats from several queries fold together with accumulate_stats
+//    (common.hpp), which sums the work counters and the wall-clock fields.
 #pragma once
 
 #include <memory>

@@ -6,9 +6,9 @@
 // files. This header unifies them: a Query is a small value (kind + k/kmax +
 // per-query options) that round-trips through text, an Answer is the typed
 // result, and PreparedGraph::run(const Query&) is the single execution entry
-// every other surface wraps. Serving layers (QueryBatch, QueryStream,
-// CliqueService) schedule Queries and return Answers; the named methods and
-// the batch's legacy BatchQuery/BatchResult remain as thin wrappers.
+// every other surface wraps. Serving layers (QueryBatch, CliqueService)
+// schedule Queries and return Answers; the named methods remain as thin
+// wrappers.
 //
 // Per-query resource control lives in QueryOptions:
 //   * max_workers       — caps the query's internal parallelism without

@@ -5,17 +5,14 @@
 #include <utility>
 
 #include "clique/answer_cache.hpp"
-#include "shard/sharded_engine.hpp"
-#include "snapshot/shard_manifest.hpp"
 
 namespace c3 {
 
-/// One named graph, from one of four sources: an in-memory engine, an
-/// in-memory sharded engine, a flat snapshot, or a sharded manifest (the
-/// file kinds are told apart by magic at first open). The members written by
-/// the lazy open (snap, sharded_snap, open_error) are guarded by the
-/// once-latch: they are written only inside call_once and read only after it
-/// returns, so post-open reads need no further synchronization.
+/// One named graph. In-memory entries own their Graph and engine from
+/// registration; snapshot entries hold only the path until open_once fires.
+/// The members written by the lazy open (snap, open_error) are guarded by
+/// the once-latch: they are written only inside call_once and read only
+/// after it returns, so post-open reads need no further synchronization.
 struct CliqueService::Entry {
   std::string id;
 
@@ -23,7 +20,6 @@ struct CliqueService::Entry {
   // moves; entries themselves are unique_ptr-held for the same reason).
   std::unique_ptr<Graph> graph;
   std::unique_ptr<PreparedGraph> local;
-  std::unique_ptr<shard::ShardedEngine> local_sharded;
 
   // Snapshot source.
   std::filesystem::path path;
@@ -31,62 +27,33 @@ struct CliqueService::Entry {
   std::optional<CliqueOptions> expected;
   std::once_flag open_once;
   std::optional<snapshot::Snapshot> snap;
-  std::optional<snapshot::ShardedSnapshot> sharded_snap;
   std::exception_ptr open_error;
   // Published once the open succeeded (release after the emplace), so
   // catalog() can report shape without taking the open latch.
   std::atomic<bool> ready{false};
 
-  [[nodiscard]] bool from_snapshot() const noexcept {
-    return local == nullptr && local_sharded == nullptr;
-  }
+  [[nodiscard]] bool from_snapshot() const noexcept { return local == nullptr; }
 
   [[nodiscard]] bool opened() const noexcept {
-    return !from_snapshot() || ready.load(std::memory_order_acquire);
+    return local != nullptr || ready.load(std::memory_order_acquire);
   }
 
-  /// Fires the open latch for a snapshot entry. A failed open is sticky: the
-  /// latch has fired, so every later call rethrows the recorded failure
-  /// instead of retrying against a file that already refused.
-  void ensure_open() {
-    if (!from_snapshot()) return;
+  /// The entry's engine, opening the snapshot on first use. A failed open is
+  /// sticky: the latch has fired, so every later call rethrows the recorded
+  /// failure instead of retrying against a file that already refused.
+  [[nodiscard]] const PreparedGraph& engine() {
+    if (local != nullptr) return *local;
     std::call_once(open_once, [this] {
       try {
-        if (snapshot::is_shard_manifest(path)) {
-          sharded_snap.emplace(expected.has_value()
-                                   ? snapshot::ShardedSnapshot::open(path, *expected, open_opts)
-                                   : snapshot::ShardedSnapshot::open(path, open_opts));
-        } else {
-          snap.emplace(expected.has_value()
-                           ? snapshot::Snapshot::open(path, *expected, open_opts)
-                           : snapshot::Snapshot::open(path, open_opts));
-        }
+        snap.emplace(expected.has_value()
+                         ? snapshot::Snapshot::open(path, *expected, open_opts)
+                         : snapshot::Snapshot::open(path, open_opts));
         ready.store(true, std::memory_order_release);
       } catch (...) {
         open_error = std::current_exception();
       }
     });
     if (open_error != nullptr) std::rethrow_exception(open_error);
-  }
-
-  /// The composed sharded engine, or nullptr when this entry is flat.
-  /// Only valid after ensure_open() for snapshot entries.
-  [[nodiscard]] const shard::ShardedEngine* sharded() const {
-    if (local_sharded != nullptr) return local_sharded.get();
-    if (sharded_snap.has_value()) return &sharded_snap->engine();
-    return nullptr;
-  }
-
-  /// The entry's single engine, opening the snapshot on first use. A
-  /// sharded entry has no single engine: refuse with a message that names
-  /// the routing fix rather than handing back one shard.
-  [[nodiscard]] const PreparedGraph& engine() {
-    if (local != nullptr) return *local;
-    ensure_open();
-    if (sharded() != nullptr) {
-      throw std::runtime_error("CliqueService: graph '" + id +
-                               "' is sharded; route queries through CliqueService::run()");
-    }
     return snap->engine();
   }
 };
@@ -99,13 +66,7 @@ void CliqueService::add_graph(std::string id, Graph graph, const CliqueOptions& 
   entry->id = std::move(id);
   entry->graph = std::make_unique<Graph>(std::move(graph));
   entry->local = std::make_unique<PreparedGraph>(*entry->graph, opts);
-  const std::unique_lock<std::shared_mutex> lock(catalog_mutex_);
-  for (const auto& existing : entries_) {
-    if (existing->id == entry->id) {
-      throw std::invalid_argument("CliqueService: duplicate graph id '" + entry->id + "'");
-    }
-  }
-  entries_.push_back(std::move(entry));
+  register_entry(std::move(entry));
 }
 
 void CliqueService::add_snapshot(std::string id, std::filesystem::path path,
@@ -116,21 +77,10 @@ void CliqueService::add_snapshot(std::string id, std::filesystem::path path,
   entry->path = std::move(path);
   entry->open_opts = open;
   entry->expected = std::move(expected);
-  const std::unique_lock<std::shared_mutex> lock(catalog_mutex_);
-  for (const auto& existing : entries_) {
-    if (existing->id == entry->id) {
-      throw std::invalid_argument("CliqueService: duplicate graph id '" + entry->id + "'");
-    }
-  }
-  entries_.push_back(std::move(entry));
+  register_entry(std::move(entry));
 }
 
-void CliqueService::add_sharded_graph(std::string id, const Graph& graph,
-                                      const shard::ShardingOptions& sharding,
-                                      const CliqueOptions& opts) {
-  auto entry = std::make_unique<Entry>();
-  entry->id = std::move(id);
-  entry->local_sharded = std::make_unique<shard::ShardedEngine>(graph, sharding, opts);
+void CliqueService::register_entry(std::unique_ptr<Entry> entry) {
   const std::unique_lock<std::shared_mutex> lock(catalog_mutex_);
   for (const auto& existing : entries_) {
     if (existing->id == entry->id) {
@@ -163,16 +113,10 @@ std::vector<ServiceGraphInfo> CliqueService::catalog() const {
     info.from_snapshot = entry->from_snapshot();
     info.opened = entry->opened();
     if (info.opened) {
-      if (const shard::ShardedEngine* se = entry->sharded(); se != nullptr) {
-        info.num_nodes = se->num_nodes();
-        info.num_edges = se->num_edges();
-        info.shards = static_cast<int>(se->num_shards());
-      } else {
-        const Graph& g =
-            entry->local != nullptr ? entry->local->graph() : entry->snap->engine().graph();
-        info.num_nodes = g.num_nodes();
-        info.num_edges = g.num_edges();
-      }
+      const Graph& g =
+          entry->local != nullptr ? entry->local->graph() : entry->snap->engine().graph();
+      info.num_nodes = g.num_nodes();
+      info.num_edges = g.num_edges();
     }
     out.push_back(std::move(info));
   }
@@ -191,43 +135,21 @@ const PreparedGraph& CliqueService::engine(std::string_view id) const {
   return find(id).engine();
 }
 
-const shard::ShardedEngine* CliqueService::sharded_engine(std::string_view id) const {
-  Entry& entry = find(id);
-  entry.ensure_open();
-  return entry.sharded();
-}
-
 Answer CliqueService::run(std::string_view id, const Query& query) const {
   return run(id, query, nullptr);
 }
 
 Answer CliqueService::run(std::string_view id, const Query& query,
                           obs::TraceContext* trace) const {
-  Entry& entry = find(id);
-  entry.ensure_open();
-  if (const shard::ShardedEngine* se = entry.sharded(); se != nullptr) {
-    return se->run(query, trace);
-  }
-  return entry.engine().run(query, trace);
+  return engine(id).run(query, trace);
 }
 
 std::uint64_t CliqueService::fingerprint(std::string_view id) const {
-  Entry& entry = find(id);
-  entry.ensure_open();
-  if (const shard::ShardedEngine* se = entry.sharded(); se != nullptr) {
-    return shard::sharded_fingerprint(id, *se);
-  }
-  return engine_fingerprint(id, entry.engine());
+  return engine_fingerprint(id, engine(id));
 }
 
 void CliqueService::prepare(std::string_view id) const {
-  Entry& entry = find(id);
-  entry.ensure_open();
-  if (const shard::ShardedEngine* se = entry.sharded(); se != nullptr) {
-    se->prepare();
-    return;
-  }
-  const PreparedGraph& e = entry.engine();
+  const PreparedGraph& e = engine(id);
   e.prepare();
   const Graph& g = e.graph();
   if (g.num_nodes() > 0 && g.num_edges() > 0) (void)e.clique_number_upper_bound();

@@ -17,15 +17,6 @@
 // ownership of the Graph and constructs its engine immediately (preparation
 // itself stays lazy inside PreparedGraph).
 //
-// Sharded graphs are first-class catalog rows: add_sharded_graph partitions
-// an in-memory graph behind a ShardedEngine, and add_snapshot accepts a
-// sharded manifest (.c3shard) as transparently as a flat .c3snap — the entry
-// sniffs the magic at first open and routes through the right loader, so a
-// sharded graph stays *one* id with one path. Queries against either kind go
-// through run(); engine() refuses a sharded id (there is no single
-// PreparedGraph to hand out) and sharded_engine() exposes the composed
-// engine instead.
-//
 // Thread-safety: run()/engine()/prepare() may be called from any number of
 // threads concurrently — the catalog is read under a shared lock and every
 // engine is itself reentrant. Registration (add_graph / add_snapshot) takes
@@ -48,16 +39,12 @@
 #include "clique/engine.hpp"
 #include "clique/query.hpp"
 #include "graph/graph.hpp"
-#include "shard/partition.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace c3 {
 
 namespace obs {
 class TraceContext;
-}
-namespace shard {
-class ShardedEngine;
 }
 
 /// One catalog row (inspection/tooling output).
@@ -69,9 +56,6 @@ struct ServiceGraphInfo {
   /// the file, not the catalog).
   node_t num_nodes = 0;
   edge_t num_edges = 0;
-  /// Shard count for a sharded entry; 0 for an unsharded one (and for a
-  /// sharded snapshot entry not yet opened — the count is in the manifest).
-  int shards = 0;
 };
 
 class CliqueService {
@@ -91,19 +75,9 @@ class CliqueService {
   /// `expected` — surface from that first use, and every later use rethrows
   /// the same failure. `open` carries the warm-up hints (checksums,
   /// prefault, mlock).
-  /// `path` may name a flat snapshot (.c3snap) or a sharded manifest — the
-  /// first open sniffs the magic and loads accordingly.
   void add_snapshot(std::string id, std::filesystem::path path,
                     const snapshot::SnapshotOpenOptions& open = {},
                     std::optional<CliqueOptions> expected = std::nullopt);
-
-  /// Registers an in-memory graph served sharded: partitions `graph` under
-  /// `sharding` and builds one engine per shard (plus halo engines) behind a
-  /// ShardedEngine. `graph` itself is not retained — each shard owns its
-  /// subgraph. Queries route through run(); engine() refuses the id.
-  void add_sharded_graph(std::string id, const Graph& graph,
-                         const shard::ShardingOptions& sharding,
-                         const CliqueOptions& opts = {});
 
   [[nodiscard]] bool has_graph(std::string_view id) const;
   [[nodiscard]] std::size_t size() const;
@@ -114,27 +88,19 @@ class CliqueService {
   /// The engine serving `id`, opening a snapshot entry if this is its first
   /// use. The reference stays valid for the service's lifetime. Throws
   /// std::invalid_argument for an unknown id, std::runtime_error for a
-  /// snapshot that fails to open — or for a *sharded* id, which has no
-  /// single engine (route queries through run()).
+  /// snapshot that fails to open.
   [[nodiscard]] const PreparedGraph& engine(std::string_view id) const;
 
-  /// The composed engine of a sharded entry (opening it on first use), or
-  /// nullptr when `id` is served unsharded. Throws like engine() for
-  /// unknown ids and failed opens.
-  [[nodiscard]] const shard::ShardedEngine* sharded_engine(std::string_view id) const;
-
-  /// Routes one query to whichever engine serves `id` (flat or sharded).
+  /// Routes one query to the engine serving `id`.
   [[nodiscard]] Answer run(std::string_view id, const Query& query) const;
 
-  /// As run(), threading `trace` (which may be nullptr) into the engine: a
-  /// flat entry records its Search span, a sharded one records per-shard
-  /// ShardSearch spans plus shard-count/policy annotations.
+  /// As run(), threading `trace` (which may be nullptr) into the engine,
+  /// which records the query's Search (and any Prepare) span.
   [[nodiscard]] Answer run(std::string_view id, const Query& query,
                            obs::TraceContext* trace) const;
 
-  /// Cache-keying identity of whichever engine serves `id` (opening it on
-  /// first use): engine_fingerprint for a flat entry, sharded_fingerprint
-  /// for a sharded one — the two never collide.
+  /// Cache-keying identity of the engine serving `id` (opening it on first
+  /// use): engine_fingerprint over the id and the engine.
   [[nodiscard]] std::uint64_t fingerprint(std::string_view id) const;
 
   /// Forces `id` ready to serve: snapshot opened, artifacts and the
@@ -145,6 +111,8 @@ class CliqueService {
  private:
   struct Entry;
   [[nodiscard]] Entry& find(std::string_view id) const;
+  /// Appends `entry` under the exclusive lock; throws on a duplicate id.
+  void register_entry(std::unique_ptr<Entry> entry);
 
   mutable std::shared_mutex catalog_mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;  // registration order

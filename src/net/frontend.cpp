@@ -158,8 +158,7 @@ std::uint64_t LineFrontEnd::fingerprint_for(const std::string& id) {
     const std::shared_lock<std::shared_mutex> lock(fingerprint_mutex_);
     if (const auto it = fingerprints_.find(id); it != fingerprints_.end()) return it->second;
   }
-  // May open a snapshot entry on first touch; the service picks the flat or
-  // sharded fingerprint to match whichever engine serves the id.
+  // May open a snapshot entry on first touch.
   const std::uint64_t fp = service_->fingerprint(id);
   const std::unique_lock<std::shared_mutex> lock(fingerprint_mutex_);
   return fingerprints_.emplace(id, fp).first->second;

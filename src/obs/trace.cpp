@@ -86,8 +86,6 @@ const char* stage_name(Stage s) noexcept {
       return "format";
     case Stage::SocketWrite:
       return "socket_write";
-    case Stage::ShardSearch:
-      return "shard_search";
   }
   return "unknown";
 }

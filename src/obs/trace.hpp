@@ -44,9 +44,8 @@ enum class Stage : std::uint8_t {
   Search,         ///< the engine's search (PreparedGraph::run)
   Format,         ///< answer -> wire text
   SocketWrite,    ///< response write on the connection
-  ShardSearch,    ///< one shard's sub-query inside a ShardedEngine scatter
 };
-inline constexpr std::size_t kStageCount = 8;
+inline constexpr std::size_t kStageCount = 7;
 
 [[nodiscard]] const char* stage_name(Stage s) noexcept;
 

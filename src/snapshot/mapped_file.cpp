@@ -85,15 +85,6 @@ MappedFile MappedFile::read_heap(const std::filesystem::path& path) {
   return out;
 }
 
-MappedFile MappedFile::view(const std::byte* data, std::size_t size) noexcept {
-  // mapped_ stays false and heap_ stays null, so reset() releases nothing —
-  // the bytes belong to whoever handed them out.
-  MappedFile out;
-  out.data_ = data;
-  out.size_ = size;
-  return out;
-}
-
 MappedFile MappedFile::map_readonly(const std::filesystem::path& path) {
 #if defined(_WIN32)
   return read_heap(path);

@@ -29,13 +29,6 @@ class MappedFile {
   /// heap buffer is already resident anyway.
   [[nodiscard]] static MappedFile read_heap(const std::filesystem::path& path);
 
-  /// A non-owning view over externally-owned bytes — the shape a sharded
-  /// manifest hands each embedded snapshot (a subrange of the manifest's one
-  /// mapping). Nothing is unmapped or freed on destruction; the caller must
-  /// keep `data` alive for the view's lifetime. is_mapped() is false and the
-  /// warm-up hints are no-ops (the owner warms the whole mapping).
-  [[nodiscard]] static MappedFile view(const std::byte* data, std::size_t size) noexcept;
-
   MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
   MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;

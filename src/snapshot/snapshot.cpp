@@ -78,7 +78,7 @@ void add_section(std::vector<PendingSection>& out, SectionKind kind, std::span<c
   out.push_back(s);
 }
 
-void write_padding(std::ostream& out, std::uint64_t bytes) {
+void write_padding(std::ofstream& out, std::uint64_t bytes) {
   static constexpr char zeros[kSectionAlign] = {};
   while (bytes > 0) {
     const std::uint64_t chunk = bytes < kSectionAlign ? bytes : kSectionAlign;
@@ -224,31 +224,12 @@ const SectionRecord& require_section(const Layout& lay, const std::filesystem::p
   fail(path, std::string("missing section ") + section_name(kind));
 }
 
-SnapshotInfo info_from_layout(const Layout& lay, const std::filesystem::path& path) {
-  SnapshotInfo info;
-  info.format_version = lay.header.format_version;
-  info.artifact_schema = lay.header.artifact_schema;
-  info.file_bytes = lay.header.file_bytes;
-  info.num_nodes = lay.header.num_nodes;
-  info.num_edges = lay.header.num_edges;
-  info.options = header_options(lay.header, path);
-  info.artifact_mask = lay.header.artifact_mask;
-  for (const SectionRecord& rec : lay.table) {
-    info.sections.push_back({section_name(static_cast<SectionKind>(rec.kind)), rec.offset,
-                             rec.count * rec.elem_bytes, rec.count, rec.checksum});
-  }
-  return info;
-}
-
-}  // namespace
-
-CliqueOptions header_options(const SnapshotHeader& h, const std::filesystem::path& context) {
+CliqueOptions options_from_header(const SnapshotHeader& h, const std::filesystem::path& path) {
   if (h.algorithm > static_cast<std::uint32_t>(Algorithm::BruteForce) ||
       h.vertex_order > static_cast<std::uint32_t>(VertexOrderKind::ById) ||
       h.edge_order_kind > static_cast<std::uint32_t>(EdgeOrderKind::ApproxCommunityDegeneracy)) {
-    fail(context, "corrupt options fingerprint (algorithm " + u64s(h.algorithm) +
-                      ", vertex order " + u64s(h.vertex_order) + ", edge order " +
-                      u64s(h.edge_order_kind) + ")");
+    fail(path, "corrupt options fingerprint (algorithm " + u64s(h.algorithm) + ", vertex order " +
+                   u64s(h.vertex_order) + ", edge order " + u64s(h.edge_order_kind) + ")");
   }
   CliqueOptions opts;
   opts.algorithm = static_cast<Algorithm>(h.algorithm);
@@ -261,8 +242,25 @@ CliqueOptions header_options(const SnapshotHeader& h, const std::filesystem::pat
   return opts;
 }
 
-void write_stream(std::ostream& out, const PreparedGraph& engine,
-                  const std::filesystem::path& context) {
+SnapshotInfo info_from_layout(const Layout& lay, const std::filesystem::path& path) {
+  SnapshotInfo info;
+  info.format_version = lay.header.format_version;
+  info.artifact_schema = lay.header.artifact_schema;
+  info.file_bytes = lay.header.file_bytes;
+  info.num_nodes = lay.header.num_nodes;
+  info.num_edges = lay.header.num_edges;
+  info.options = options_from_header(lay.header, path);
+  info.artifact_mask = lay.header.artifact_mask;
+  for (const SectionRecord& rec : lay.table) {
+    info.sections.push_back({section_name(static_cast<SectionKind>(rec.kind)), rec.offset,
+                             rec.count * rec.elem_bytes, rec.count, rec.checksum});
+  }
+  return info;
+}
+
+}  // namespace
+
+void write(const std::filesystem::path& path, const PreparedGraph& engine) {
   // Force the full query surface: the algorithm's dispatch artifacts plus
   // whatever clique_number_upper_bound (spectrum / max-clique) needs, so a
   // loaded engine never prepares anything.
@@ -339,6 +337,8 @@ void write_stream(std::ostream& out, const PreparedGraph& engine,
   hc = checksum64(table.data(), table.size() * sizeof(SectionRecord), hc);
   h.header_checksum = hc;
 
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) fail(path, "cannot open for writing");
   out.write(reinterpret_cast<const char*>(&h), sizeof h);
   out.write(reinterpret_cast<const char*>(table.data()),
             static_cast<std::streamsize>(table.size() * sizeof(SectionRecord)));
@@ -350,13 +350,6 @@ void write_stream(std::ostream& out, const PreparedGraph& engine,
     written = s.rec.offset + bytes;
   }
   write_padding(out, h.file_bytes - written);
-  if (!out) fail(context, "write error");
-}
-
-void write(const std::filesystem::path& path, const PreparedGraph& engine) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail(path, "cannot open for writing");
-  write_stream(out, engine, path);
   if (!out) fail(path, "write error");
 }
 
@@ -428,17 +421,16 @@ void check_fingerprint(const std::filesystem::path& path, const CliqueOptions& s
 
 }  // namespace
 
-Snapshot Snapshot::open_mapped(MappedFile map, const std::filesystem::path& path,
-                               const CliqueOptions* expected,
-                               const SnapshotOpenOptions& open_opts, bool from_buffer) {
+Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOptions* expected,
+                             const SnapshotOpenOptions& open_opts) {
   const WallTimer open_timer;
   Snapshot snap;
   Impl& impl = *snap.impl_;
-  impl.map = std::move(map);
+  impl.map = open_opts.force_heap_fallback ? MappedFile::read_heap(path)
+                                           : MappedFile::map_readonly(path);
   // Read-ahead before validation: the checksum scan (when on) is the first
-  // beneficiary of the whole file streaming in. A borrowed buffer is warmed
-  // (and pinned, below) by whoever owns the enclosing mapping.
-  if (!from_buffer && open_opts.prefault) impl.map.prefault();
+  // beneficiary of the whole file streaming in.
+  if (open_opts.prefault) impl.map.prefault();
   const WallTimer validate_timer;
   const Layout lay = validate(impl.map, path, open_opts.verify_checksums);
   if (obs::enabled()) {
@@ -447,7 +439,7 @@ Snapshot Snapshot::open_mapped(MappedFile map, const std::filesystem::path& path
     validate_hist.observe(validate_timer.seconds());
   }
   // Pin only a validated mapping — garbage should be refused, not locked.
-  if (!from_buffer && open_opts.lock_memory) impl.memory_locked = impl.map.lock_memory();
+  if (open_opts.lock_memory) impl.memory_locked = impl.map.lock_memory();
   impl.info = info_from_layout(lay, path);
   const SnapshotHeader& h = lay.header;
   const std::uint64_t n = h.num_nodes;
@@ -531,20 +523,6 @@ Snapshot Snapshot::open_mapped(MappedFile map, const std::filesystem::path& path
     open_hist.observe(open_timer.seconds());
   }
   return snap;
-}
-
-Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOptions* expected,
-                             const SnapshotOpenOptions& open_opts) {
-  MappedFile map = open_opts.force_heap_fallback ? MappedFile::read_heap(path)
-                                                 : MappedFile::map_readonly(path);
-  return open_mapped(std::move(map), path, expected, open_opts, /*from_buffer=*/false);
-}
-
-Snapshot Snapshot::open_buffer(std::span<const std::byte> buffer,
-                               const std::filesystem::path& label,
-                               const SnapshotOpenOptions& opts, const CliqueOptions* expected) {
-  return open_mapped(MappedFile::view(buffer.data(), buffer.size()), label, expected, opts,
-                     /*from_buffer=*/true);
 }
 
 Snapshot Snapshot::open(const std::filesystem::path& path, const SnapshotOpenOptions& opts) {

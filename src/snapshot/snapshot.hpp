@@ -34,9 +34,7 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -46,8 +44,6 @@
 #include "snapshot/format.hpp"
 
 namespace c3::snapshot {
-
-class MappedFile;
 
 struct SnapshotOpenOptions {
   /// Verify every section's FNV checksum at open. One linear scan of the
@@ -101,22 +97,9 @@ struct SnapshotInfo {
 /// preprocess_seconds == 0. Throws std::runtime_error on I/O failure.
 void write(const std::filesystem::path& path, const PreparedGraph& engine);
 
-/// As write(), but serializes into any output stream — the path the sharded
-/// manifest writer takes to embed per-shard snapshot images in one file.
-/// `context` names the destination in error messages.
-void write_stream(std::ostream& out, const PreparedGraph& engine,
-                  const std::filesystem::path& context = "<stream>");
-
 /// Header + section-table summary without loading any artifact (reads and
 /// validates the header only; section payloads are not checksummed).
 [[nodiscard]] SnapshotInfo inspect(const std::filesystem::path& path);
-
-/// Decodes the artifact-determining options out of a validated header —
-/// exported for the sharded-manifest inspector, which reads an embedded
-/// image's header without opening the image. Throws (naming `context`) on a
-/// fingerprint holding out-of-range enum values.
-[[nodiscard]] CliqueOptions header_options(const SnapshotHeader& h,
-                                           const std::filesystem::path& context);
 
 /// An open snapshot: the read-only mapping plus the Graph and PreparedGraph
 /// constructed over it. Move-only; destroying it unmaps the file.
@@ -135,18 +118,6 @@ class Snapshot {
   [[nodiscard]] static Snapshot open(const std::filesystem::path& path,
                                      const CliqueOptions& expected,
                                      const SnapshotOpenOptions& opts = {});
-
-  /// Opens a snapshot image held in externally-owned memory — a section of a
-  /// sharded manifest's mapping. `buffer` must stay alive for the Snapshot's
-  /// lifetime and be kSectionAlign-aligned (internal section offsets are
-  /// relative to its start). `label` names the source in error messages.
-  /// The file-oriented open options (prefault, lock_memory,
-  /// force_heap_fallback) do not apply — the buffer's owner warms its own
-  /// mapping; verify_checksums is honored. `expected` as in open().
-  [[nodiscard]] static Snapshot open_buffer(std::span<const std::byte> buffer,
-                                            const std::filesystem::path& label,
-                                            const SnapshotOpenOptions& opts = {},
-                                            const CliqueOptions* expected = nullptr);
 
   Snapshot(Snapshot&&) noexcept;
   Snapshot& operator=(Snapshot&&) noexcept;
@@ -172,9 +143,6 @@ class Snapshot {
   [[nodiscard]] static Snapshot open_with(const std::filesystem::path& path,
                                           const CliqueOptions* expected,
                                           const SnapshotOpenOptions& opts);
-  [[nodiscard]] static Snapshot open_mapped(MappedFile map, const std::filesystem::path& path,
-                                            const CliqueOptions* expected,
-                                            const SnapshotOpenOptions& opts, bool from_buffer);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -19,6 +19,14 @@
 namespace c3 {
 namespace {
 
+Query make(QueryKind kind, int k = 0, int kmax = 0) {
+  Query q;
+  q.kind = kind;
+  q.k = k;
+  q.kmax = kmax;
+  return q;
+}
+
 TEST(QueryBatch, MixedBatchMatchesDirectQueries) {
   const Graph g = social_like(300, 2400, 0.4, 19);
   CliqueOptions opts;
@@ -35,19 +43,19 @@ TEST(QueryBatch, MixedBatchMatchesDirectQueries) {
 
   for (const int concurrency : {0, 1, 2, 4}) {
     QueryBatch batch(engine);
-    EXPECT_EQ(batch.add_count(3), 0);
-    EXPECT_EQ(batch.add_count(4), 1);
-    EXPECT_EQ(batch.add_has_clique(static_cast<int>(omega)), 2);
-    EXPECT_EQ(batch.add_has_clique(static_cast<int>(omega) + 1), 3);
-    EXPECT_EQ(batch.add_find_clique(4), 4);
-    EXPECT_EQ(batch.add_spectrum(), 5);
-    EXPECT_EQ(batch.add_max_clique(), 6);
-    EXPECT_EQ(batch.add_per_vertex_counts(4), 7);
-    EXPECT_EQ(batch.add_count(5), 8);
+    EXPECT_EQ(batch.add(make(QueryKind::Count, 3)), 0);
+    EXPECT_EQ(batch.add(make(QueryKind::Count, 4)), 1);
+    EXPECT_EQ(batch.add(make(QueryKind::HasClique, static_cast<int>(omega))), 2);
+    EXPECT_EQ(batch.add(make(QueryKind::HasClique, static_cast<int>(omega) + 1)), 3);
+    EXPECT_EQ(batch.add(make(QueryKind::FindClique, 4)), 4);
+    EXPECT_EQ(batch.add(make(QueryKind::Spectrum)), 5);
+    EXPECT_EQ(batch.add(make(QueryKind::MaxClique)), 6);
+    EXPECT_EQ(batch.add(make(QueryKind::PerVertexCounts, 4)), 7);
+    EXPECT_EQ(batch.add(make(QueryKind::Count, 5)), 8);
     ASSERT_EQ(batch.size(), 9u);
 
     const int cap_before = num_workers();
-    const std::vector<BatchResult> results = batch.run(concurrency);
+    const std::vector<Answer> results = batch.answers(concurrency);
     EXPECT_EQ(num_workers(), cap_before) << "worker cap not restored";
     ASSERT_EQ(results.size(), 9u);
 
@@ -80,11 +88,11 @@ TEST(QueryBatch, BatchPaysPreparationOnceUpFront) {
   const Graph g = erdos_renyi(200, 1500, 7);
   const PreparedGraph engine(g, {});
   QueryBatch batch(engine);
-  for (int k = 3; k <= 6; ++k) (void)batch.add_count(k);
-  const auto results = batch.run();
-  // run() forces prepare() before the first query, so no query reports
+  for (int k = 3; k <= 6; ++k) (void)batch.add(make(QueryKind::Count, k));
+  const auto results = batch.answers();
+  // answers() forces prepare() before the first query, so no query reports
   // preparation cost.
-  for (const BatchResult& r : results) EXPECT_EQ(r.stats.preprocess_seconds, 0.0);
+  for (const Answer& r : results) EXPECT_EQ(r.stats.preprocess_seconds, 0.0);
   EXPECT_EQ(engine.artifacts_built(), 2);
 }
 
@@ -92,10 +100,10 @@ TEST(QueryBatch, TrivialOnlyBatchBuildsNoArtifacts) {
   const Graph g = erdos_renyi(100, 700, 3);
   const PreparedGraph engine(g, {});
   QueryBatch batch(engine);
-  (void)batch.add_count(1);
-  (void)batch.add_count(2);
-  (void)batch.add_spectrum(2);
-  const auto results = batch.run(2);
+  (void)batch.add(make(QueryKind::Count, 1));
+  (void)batch.add(make(QueryKind::Count, 2));
+  (void)batch.add(make(QueryKind::Spectrum, 0, 2));
+  const auto results = batch.answers(2);
   EXPECT_EQ(results[0].count, 100u);
   EXPECT_EQ(results[1].count, 700u);
   EXPECT_EQ(results[2].spectrum.omega, 2u);
@@ -105,16 +113,16 @@ TEST(QueryBatch, TrivialOnlyBatchBuildsNoArtifacts) {
 
 TEST(QueryBatch, BruteForceHeavyQueriesPrepareUpFront) {
   // BruteForce's prepare() builds nothing, but max-clique queries consult
-  // the degeneracy upper bound — run() must force it up front so the query
+  // the degeneracy upper bound — answers() must force it up front so the query
   // itself still pays no preparation.
   const Graph g = erdos_renyi(80, 400, 13);
   CliqueOptions opts;
   opts.algorithm = Algorithm::BruteForce;
   const PreparedGraph engine(g, opts);
   QueryBatch batch(engine);
-  (void)batch.add_max_clique();
-  (void)batch.add_count(3);
-  const auto results = batch.run(2);
+  (void)batch.add(make(QueryKind::MaxClique));
+  (void)batch.add(make(QueryKind::Count, 3));
+  const auto results = batch.answers(2);
   EXPECT_EQ(results[0].omega, max_clique_size(g));
   EXPECT_EQ(results[1].count, count_cliques(g, 3, opts).count);
   // Exactly the one up-front degeneracy build — nothing during the queries.
@@ -125,10 +133,10 @@ TEST(QueryBatch, RunIsRepeatable) {
   const Graph g = erdos_renyi(150, 1100, 3);
   const PreparedGraph engine(g, {});
   QueryBatch batch(engine);
-  (void)batch.add_count(4);
-  (void)batch.add_max_clique();
-  const auto first = batch.run();
-  const auto second = batch.run();
+  (void)batch.add(make(QueryKind::Count, 4));
+  (void)batch.add(make(QueryKind::MaxClique));
+  const auto first = batch.answers();
+  const auto second = batch.answers();
   ASSERT_EQ(first.size(), second.size());
   EXPECT_EQ(first[0].count, second[0].count);
   EXPECT_EQ(first[1].omega, second[1].omega);
@@ -146,8 +154,8 @@ TEST(QueryBatch, ConcurrentBatchesRestoreWorkerCap) {
 
   auto run_batch = [&](const PreparedGraph& engine, count_t& out) {
     QueryBatch batch(engine);
-    for (int k = 3; k <= 6; ++k) (void)batch.add_count(k);
-    out = batch.run(4)[1].count;  // k = 4
+    for (int k = 3; k <= 6; ++k) (void)batch.add(make(QueryKind::Count, k));
+    out = batch.answers(4)[1].count;  // k = 4
   };
   count_t a_count = 0, b_count = 0;
   std::thread a([&] { run_batch(e1, a_count); });
@@ -163,15 +171,15 @@ TEST(QueryBatch, ConcurrentBatchesRestoreWorkerCap) {
 TEST(QueryBatch, EmptyBatchAndEmptyGraph) {
   const Graph g = erdos_renyi(50, 200, 5);
   const PreparedGraph engine(g, {});
-  EXPECT_TRUE(QueryBatch(engine).run().empty());
+  EXPECT_TRUE(QueryBatch(engine).answers().empty());
 
   const Graph empty;
   const PreparedGraph none(empty, {});
   QueryBatch batch(none);
-  (void)batch.add_count(3);
-  (void)batch.add_max_clique();
-  (void)batch.add_spectrum();
-  const auto results = batch.run(4);
+  (void)batch.add(make(QueryKind::Count, 3));
+  (void)batch.add(make(QueryKind::MaxClique));
+  (void)batch.add(make(QueryKind::Spectrum));
+  const auto results = batch.answers(4);
   EXPECT_EQ(results[0].count, 0u);
   EXPECT_EQ(results[1].omega, 0u);
   EXPECT_FALSE(results[1].found);
@@ -200,15 +208,15 @@ TEST(QueryBatch, GlobalWorkerCountUntouchedThroughoutRun) {
 
   QueryBatch batch(engine);
   for (int rep = 0; rep < 3; ++rep) {
-    for (int k = 3; k <= 5; ++k) (void)batch.add_count(k);
+    for (int k = 3; k <= 5; ++k) (void)batch.add(make(QueryKind::Count, k));
   }
-  const std::vector<BatchResult> results = batch.run(4);
+  const std::vector<Answer> results = batch.answers(4);
   watching.store(false, std::memory_order_relaxed);
   observer.join();
 
   EXPECT_FALSE(saw_change.load()) << "batch split leaked into the global worker count";
   EXPECT_EQ(num_workers(), before);
-  for (const BatchResult& r : results) EXPECT_EQ(r.count, engine.count(r.k).count);
+  for (const Answer& r : results) EXPECT_EQ(r.count, engine.count(r.k).count);
 }
 
 TEST(QueryBatch, PerQueryWorkerCapsRespected) {
@@ -243,10 +251,10 @@ TEST(QueryBatch, CostModelSendsLargeKToTheSequentialPhase) {
 
   for (const int concurrency : {0, 2}) {
     QueryBatch batch(engine);
-    (void)batch.add_count(3);
-    (void)batch.add_count(big_k);
-    (void)batch.add_count(3);
-    const auto results = batch.run(concurrency);
+    (void)batch.add(make(QueryKind::Count, 3));
+    (void)batch.add(make(QueryKind::Count, big_k));
+    (void)batch.add(make(QueryKind::Count, 3));
+    const auto results = batch.answers(concurrency);
     EXPECT_EQ(results[0].count, small);
     EXPECT_EQ(results[1].count, big);
     EXPECT_EQ(results[2].count, small);
@@ -262,7 +270,7 @@ TEST(QueryBatch, AnswersEchoTypedQueries) {
   list.k = 3;
   list.opts.result_limit = 4;
   (void)batch.add(list);
-  (void)batch.add_count(3);
+  (void)batch.add(make(QueryKind::Count, 3));
 
   const std::vector<Answer> answers = batch.answers();
   ASSERT_EQ(answers.size(), 2u);
@@ -271,22 +279,6 @@ TEST(QueryBatch, AnswersEchoTypedQueries) {
   EXPECT_EQ(answers[1].count, engine.count(3).count);
   // queries() exposes the typed submissions for tooling.
   EXPECT_EQ(batch.queries()[0].opts.result_limit, 4u);
-}
-
-TEST(QueryBatch, OneCallFormMatchesBuilder) {
-  const Graph g = barabasi_albert(200, 4, 9);
-  const PreparedGraph engine(g, {});
-  const std::vector<BatchQuery> queries = {
-      {QueryKind::Count, 3, 0}, {QueryKind::Count, 4, 0}, {QueryKind::MaxClique, 0, 0}};
-  const auto a = run_query_batch(engine, queries);
-  QueryBatch batch(engine);
-  for (const BatchQuery& q : queries) (void)batch.add(q);
-  const auto b = batch.run();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].count, b[i].count);
-    EXPECT_EQ(a[i].omega, b[i].omega);
-  }
 }
 
 }  // namespace

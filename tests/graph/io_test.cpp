@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "clique/engine.hpp"
 #include "graph/builder.hpp"
@@ -17,7 +20,11 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "c3list_io_test";
+    // Per-process directory: ctest runs each TEST_F as its own process, in
+    // parallel — a shared path would let one test's TearDown delete files
+    // another test is still reading.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("c3list_io_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

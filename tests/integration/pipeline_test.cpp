@@ -2,7 +2,10 @@
 // exactly as a downstream user would drive the library.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "c3list.hpp"
 
@@ -10,7 +13,10 @@ namespace c3 {
 namespace {
 
 TEST(Pipeline, GenerateSerializeAnalyzeCount) {
-  const auto dir = std::filesystem::temp_directory_path() / "c3list_pipeline";
+  // Per-process directory, so parallel ctest runs never share (or delete)
+  // each other's files.
+  const auto dir =
+      std::filesystem::temp_directory_path() / ("c3list_pipeline_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
 
   const Graph g = social_like(300, 2100, 0.4, 2026);
