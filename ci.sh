@@ -4,8 +4,8 @@
 #   2. Debug + ASan/UBSan          (memory + UB coverage for the parallel paths)
 #   3. Release, OpenMP disabled    (the exactly-deterministic serial fallback)
 #   4. TSan, OpenMP disabled       (data-race coverage for the concurrent
-#      query engine: clique + parallel + snapshot + service + net + obs
-#      labels only. OpenMP stays off because libgomp is not
+#      query engine: clique + parallel + snapshot + service + net + obs +
+#      order + triangle labels only. OpenMP stays off because libgomp is not
 #      TSan-instrumented and would drown the report in false positives; the
 #      concurrency under test comes from std::threads.)
 #
@@ -33,9 +33,10 @@ run_config() {
     # The race-sensitive surfaces: the concurrent engine/batch suites, the
     # parallel substrate, concurrent queries over snapshot-loaded engines,
     # the multi-graph CliqueService, the TCP front end (answer cache +
-    # admission + server threads), and the telemetry layer the hot paths
-    # write into (per-thread counter stripes, trace ring, slow-query log).
-    label_args=(-L "clique|parallel|snapshot|service|net|obs")
+    # admission + server threads), the telemetry layer the hot paths
+    # write into (per-thread counter stripes, trace ring, slow-query log),
+    # and the preparation kernels that concurrent prepares run at once.
+    label_args=(-L "clique|parallel|snapshot|service|net|obs|order|triangle")
   fi
   echo "==== [${name}] configure ===="
   cmake -B "${dir}" -S . "$@"

@@ -9,6 +9,7 @@
 #include "parallel/parallel.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/scan.hpp"
+#include "triangle/triangle_kernel.hpp"
 
 namespace c3 {
 namespace {
@@ -53,21 +54,11 @@ EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
   result.candidate_offsets.assign(m + 1, 0);
   if (m == 0) return result;
 
-  // Step 1-2 of Algorithm 4: per-edge triangle counts.
-  std::vector<std::atomic<node_t>> cnt(m);
-  parallel_for(
-      0, m,
-      [&](std::size_t e) {
-        node_t c = 0;
-        for_each_wedge(g, endpoints[e].u, endpoints[e].v,
-                       [&](node_t, edge_t, edge_t) { ++c; });
-        cnt[e].store(c, std::memory_order_relaxed);
-      },
-      64);
-  count_t triangles_remaining = parallel_sum<count_t>(0, m, [&](std::size_t e) {
-                                  return cnt[e].load(std::memory_order_relaxed);
-                                }) /
-                                3;
+  // Step 1-2 of Algorithm 4: per-edge triangle counts. Plain storage: only
+  // the round update below writes concurrently, through atomic_ref.
+  std::vector<node_t> cnt = edge_triangle_counts(g);
+  count_t triangles_remaining =
+      parallel_sum<count_t>(0, m, [&](std::size_t e) { return cnt[e]; }) / 3;
 
   std::vector<edge_t> alive(m);
   for (edge_t e = 0; e < m; ++e) alive[e] = e;
@@ -83,12 +74,10 @@ EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
     // (3 + eps) * T / m == (1 + eps/3) * (3T/m); written via the per-edge
     // average 3T/m so the zero-triangle round peels everything at once.
 
-    std::vector<edge_t> peeled = pack_if<edge_t>(alive, [&](std::size_t i) {
-      return cnt[alive[i]].load(std::memory_order_relaxed) <= threshold;
-    });
-    std::vector<edge_t> survivors = pack_if<edge_t>(alive, [&](std::size_t i) {
-      return cnt[alive[i]].load(std::memory_order_relaxed) > threshold;
-    });
+    std::vector<edge_t> peeled =
+        pack_if<edge_t>(alive, [&](std::size_t i) { return cnt[alive[i]] <= threshold; });
+    std::vector<edge_t> survivors =
+        pack_if<edge_t>(alive, [&](std::size_t i) { return cnt[alive[i]] > threshold; });
 
     // Final order positions: earlier rounds first, ties by edge id (peeled
     // is id-sorted because pack preserves the order of `alive`).
@@ -123,9 +112,9 @@ EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
                            candidates[e].push_back(w);
                            ++local_destroyed;
                            if (fpos == static_cast<edge_t>(-1))
-                             cnt[f].fetch_sub(1, std::memory_order_relaxed);
+                             std::atomic_ref(cnt[f]).fetch_sub(1, std::memory_order_relaxed);
                            if (hpos == static_cast<edge_t>(-1))
-                             cnt[h].fetch_sub(1, std::memory_order_relaxed);
+                             std::atomic_ref(cnt[h]).fetch_sub(1, std::memory_order_relaxed);
                          });
           destroyed.fetch_add(local_destroyed, std::memory_order_relaxed);
         },

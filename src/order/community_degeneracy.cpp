@@ -1,43 +1,12 @@
 #include "order/community_degeneracy.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
-#include "parallel/parallel.hpp"
+#include "triangle/triangle_kernel.hpp"
 
 namespace c3 {
-namespace {
-
-/// Initial per-edge triangle counts |C_G(e)| by merging the (sorted)
-/// neighborhoods of the endpoints. O(sum over edges of d(u)+d(v)).
-std::vector<node_t> edge_triangle_counts(const Graph& g) {
-  const auto endpoints = g.endpoints();
-  std::vector<node_t> count(endpoints.size(), 0);
-  parallel_for(
-      0, endpoints.size(),
-      [&](std::size_t e) {
-        const auto nu = g.neighbors(endpoints[e].u);
-        const auto nv = g.neighbors(endpoints[e].v);
-        std::size_t i = 0, j = 0;
-        node_t c = 0;
-        while (i < nu.size() && j < nv.size()) {
-          if (nu[i] < nv[j]) {
-            ++i;
-          } else if (nu[i] > nv[j]) {
-            ++j;
-          } else {
-            ++c;
-            ++i;
-            ++j;
-          }
-        }
-        count[e] = c;
-      },
-      64);
-  return count;
-}
-
-}  // namespace
 
 // Edge analogue of the Batagelj-Zaversnik sweep: edges sit in bins by their
 // current triangle count; processing an edge enumerates its remaining
@@ -49,22 +18,24 @@ EdgeOrderResult community_degeneracy_order(const Graph& g) {
   const edge_t m = g.num_edges();
   const auto endpoints = g.endpoints();
   EdgeOrderResult result;
-  result.order.reserve(m);
-  result.pos.assign(m, static_cast<edge_t>(-1));
-  result.candidate_offsets.assign(m + 1, 0);
   if (m == 0) {
-    result.rounds = 0;
+    result.candidate_offsets.assign(1, 0);
     return result;
   }
   result.rounds = static_cast<node_t>(m);  // one edge per "round": linear depth
 
-  std::vector<node_t> cnt = edge_triangle_counts(g);
+  // Every edge's triangles, listed once up front, so processing an edge
+  // costs O(its triangles) in the sequential sweep.
+  EdgeTriangles tri = list_edge_triangles(g);
+  std::vector<node_t>& cnt = tri.counts;
   const node_t max_cnt = *std::max_element(cnt.begin(), cnt.end());
 
   // Counting sort of edges by triangle count.
   std::vector<edge_t> bin(static_cast<std::size_t>(max_cnt) + 2, 0);
   for (edge_t e = 0; e < m; ++e) bin[cnt[e] + 1]++;
   for (std::size_t d = 0; d + 1 < bin.size(); ++d) bin[d + 1] += bin[d];
+  // Once the sweep passes position i, edges_sorted[i] and epos of that edge
+  // never move again, so at the end they are the order and its inverse.
   std::vector<edge_t> edges_sorted(m), epos(m);
   {
     std::vector<edge_t> cursor(bin.begin(), bin.end() - 1);
@@ -76,72 +47,69 @@ EdgeOrderResult community_degeneracy_order(const Graph& g) {
   }
 
   std::vector<bool> processed(m, false);
-  // Candidate sets are appended in sweep order, then re-indexed by edge id.
-  std::vector<std::pair<edge_t, node_t>> flat_candidates;  // (edge, member)
   node_t sigma = 0;
 
   for (edge_t i = 0; i < m; ++i) {
     const edge_t e = edges_sorted[i];
-    result.order.push_back(e);
-    result.pos[e] = i;
     processed[e] = true;
     sigma = std::max(sigma, cnt[e]);
 
-    // Enumerate remaining triangles of e: common neighbors w with both
-    // partner edges unprocessed.
-    const node_t u = endpoints[e].u;
-    const node_t v = endpoints[e].v;
-    const auto nu = g.neighbors(u);
-    const auto nv = g.neighbors(v);
-    const auto idu = g.edge_ids(u);
-    const auto idv = g.edge_ids(v);
-    std::size_t a = 0, b = 0;
-    while (a < nu.size() && b < nv.size()) {
-      if (nu[a] < nv[b]) {
-        ++a;
-      } else if (nu[a] > nv[b]) {
-        ++b;
-      } else {
-        const edge_t f = idu[a];  // edge {u, w}
-        const edge_t h = idv[b];  // edge {v, w}
-        if (!processed[f] && !processed[h]) {
-          flat_candidates.emplace_back(e, nu[a]);
-          // Decrement with the clamping guard (see header comment).
-          for (const edge_t partner : {f, h}) {
-            if (cnt[partner] > cnt[e]) {
-              const node_t dp = cnt[partner];
-              const edge_t pp = epos[partner];
-              const edge_t pt = bin[dp];
-              const edge_t t = edges_sorted[pt];
-              if (partner != t) {
-                std::swap(edges_sorted[pp], edges_sorted[pt]);
-                epos[partner] = pt;
-                epos[t] = pp;
-              }
-              ++bin[dp];
-              --cnt[partner];
-            }
+    // Walk e's remaining triangles (ascending w): those with both partner
+    // edges unprocessed. Accepted members overwrite the front of e's own
+    // slot_u range, which the walk has already read.
+    const auto nu = g.neighbors(endpoints[e].u);
+    const auto idu = g.edge_ids(endpoints[e].u);
+    const auto idv = g.edge_ids(endpoints[e].v);
+    std::uint32_t* in_u = tri.slot_u.data() + tri.offsets[e];
+    const std::uint32_t* in_v = tri.slot_v.data() + tri.offsets[e];
+    const edge_t triangles = tri.offsets[e + 1] - tri.offsets[e];
+    node_t kept = 0;
+    for (edge_t k = 0; k < triangles; ++k) {
+      const edge_t f = idu[in_u[k]];  // edge {u, w}
+      const edge_t h = idv[in_v[k]];  // edge {v, w}
+      if (processed[f] || processed[h]) continue;
+      in_u[kept++] = nu[in_u[k]];
+      // Decrement with the clamping guard (see header comment).
+      for (const edge_t partner : {f, h}) {
+        if (cnt[partner] > cnt[e]) {
+          const node_t dp = cnt[partner];
+          const edge_t pp = epos[partner];
+          const edge_t pt = bin[dp];
+          const edge_t t = edges_sorted[pt];
+          if (partner != t) {
+            std::swap(edges_sorted[pp], edges_sorted[pt]);
+            epos[partner] = pt;
+            epos[t] = pp;
           }
+          ++bin[dp];
+          --cnt[partner];
         }
-        ++a;
-        ++b;
       }
     }
+    cnt[e] = kept;  // never read again as a count: now |V'(e)|
   }
   result.sigma = sigma;
+  result.order = std::move(edges_sorted);
+  result.pos = std::move(epos);
 
-  // Re-index the flat (edge, member) pairs into a CSR keyed by edge id.
-  for (const auto& [e, w] : flat_candidates) result.candidate_offsets[e + 1]++;
-  for (edge_t e = 0; e < m; ++e) result.candidate_offsets[e + 1] += result.candidate_offsets[e];
-  result.candidate_members.resize(flat_candidates.size());
-  {
-    std::vector<edge_t> cursor(result.candidate_offsets.begin(),
-                               result.candidate_offsets.end() - 1);
-    for (const auto& [e, w] : flat_candidates) result.candidate_members[cursor[e]++] = w;
+  // Gather the accepted members into the CSR keyed by edge id (each set is
+  // ascending because each walk is). slot_v is released first, so the
+  // members array can reuse its memory. The slot offsets become the
+  // candidate offsets in place: offsets[e] is read before it is
+  // overwritten, and offsets[e + 1] only on the next step.
+  std::vector<std::uint32_t>().swap(tri.slot_v);
+  std::vector<edge_t>& offsets = tri.offsets;
+  result.candidate_members.resize(offsets[m] / 3);  // each triangle once
+  node_t* members = result.candidate_members.data();
+  edge_t next = 0;
+  for (edge_t e = 0; e < m; ++e) {
+    const std::uint32_t* kept = tri.slot_u.data() + offsets[e];
+    offsets[e] = next;
+    std::copy(kept, kept + cnt[e], members + next);
+    next += cnt[e];
   }
-  // Members arrive in merge order (ascending w) per edge already, but the
-  // sweep interleaves edges; the scatter above preserves per-edge order, and
-  // per-edge enumeration is ascending — so each set is already sorted.
+  offsets[m] = next;
+  result.candidate_offsets = std::move(offsets);
   return result;
 }
 

@@ -10,12 +10,15 @@
 // Two implementations of the edge total order:
 //  * community_degeneracy_order — exact greedy: repeatedly remove an edge
 //    supporting the fewest remaining triangles (bucket queue; the edge
-//    analogue of Matula-Beck). O(sum of d(u)+d(v) + T log) work, linear
-//    depth. Candidate sets have size at most sigma.
+//    analogue of Matula-Beck). The owner-marks kernel lists every edge's
+//    triangles first, O(sum over edges of min(d(u), d(v)) + m) parallel
+//    work, with a transient of 8 bytes per triangle-edge incidence (24 T
+//    bytes); the sequential sweep then walks those lists in O(m + T).
+//    Candidate sets have size at most sigma.
 //  * approx_community_degeneracy_order (Algorithm 4) — peels all edges with
 //    at most (3+eps) * T/m remaining triangles per round; O(log_{1+eps} m)
 //    rounds (Observation 6), low depth, candidate sets at most (3+eps) sigma
-//    (Lemma 4.4).
+//    (Lemma 4.4). Its initial per-edge counts are the kernel's size pass.
 //
 // Both also emit, for every edge e = {u,v}, the candidate set
 // V'(e) = C_{(V, E[e <=])}(e): the vertices w completing a triangle with e

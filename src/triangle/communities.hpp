@@ -25,9 +25,12 @@ class EdgeCommunities {
  public:
   EdgeCommunities() = default;
 
-  /// Builds all communities of `dag`. O(m * max-out-degree) work for the
-  /// triangle enumeration plus O(T log gamma) for the per-community sorts;
-  /// polylog depth.
+  /// Builds all communities of `dag` with the owner-marks kernel
+  /// (triangle/triangle_kernel.hpp): the task of each source a marks N+(a)
+  /// and scans N+(b) for every b in N+(a), a size pass and a fill pass of
+  /// O(sum over arcs a->b of d+(b)) work each, no atomics and no sort.
+  /// Transient memory, per worker: a mark array of n uint32_t and d+(a) + 1
+  /// counters or cursors for the task in hand.
   [[nodiscard]] static EdgeCommunities build(const Digraph& dag);
 
   /// Assembles from prebuilt arrays without recomputation (the snapshot

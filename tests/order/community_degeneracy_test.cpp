@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "graph/builder.hpp"
 #include "graph/digraph.hpp"
 #include "graph/gen/generators.hpp"
 #include "order/degeneracy.hpp"
+#include "parallel/parallel.hpp"
+#include "triangle/communities.hpp"
+#include "triangle/reference_builders.hpp"
 #include "triangle/triangle_count.hpp"
 
 namespace c3 {
@@ -164,6 +168,62 @@ TEST(CommunityDegeneracy, EmptyAndEdgelessGraphs) {
   const EdgeOrderResult r = community_degeneracy_order(build_graph(EdgeList{}, 5));
   EXPECT_TRUE(r.order.empty());
   EXPECT_EQ(r.sigma, 0u);
+}
+
+template <typename T>
+std::vector<T> bytes(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+bool same(const EdgeOrderResult& a, const EdgeOrderResult& b) {
+  return bytes<edge_t>(a.order) == bytes<edge_t>(b.order) &&
+         bytes<edge_t>(a.pos) == bytes<edge_t>(b.pos) && a.sigma == b.sigma &&
+         a.rounds == b.rounds &&
+         bytes<edge_t>(a.candidate_offsets) == bytes<edge_t>(b.candidate_offsets) &&
+         bytes<node_t>(a.candidate_members) == bytes<node_t>(b.candidate_members);
+}
+
+bool same(const EdgeCommunities& a, const EdgeCommunities& b) {
+  return bytes(a.raw_offsets()) == bytes(b.raw_offsets()) &&
+         bytes(a.raw_members()) == bytes(b.raw_members());
+}
+
+TEST(CommunityDegeneracy, ByteIdenticalToReferenceBuilders) {
+  for (const int workers : {1, std::max(4, max_workers())}) {
+    SCOPED_TRACE(workers);
+    const int saved = set_num_workers(workers);
+    for (const Graph& g : reference::graphs()) {
+      EXPECT_TRUE(same(community_degeneracy_order(g), reference::community_degeneracy_order(g)))
+          << "exact, n=" << g.num_nodes() << " m=" << g.num_edges();
+      EXPECT_TRUE(same(approx_community_degeneracy_order(g, 0.5),
+                       reference::approx_community_degeneracy_order(g, 0.5)))
+          << "approx, n=" << g.num_nodes() << " m=" << g.num_edges();
+    }
+    set_num_workers(saved);
+  }
+}
+
+TEST(CommunityDegeneracy, ConcurrentBuildsOfBothArtifactsMatchReference) {
+  // Concurrent prepares each run their own team with worker ids 0..k; the
+  // kernel's mark arrays must belong to one build call, not to a worker id.
+  const int saved = set_num_workers(std::max(4, max_workers()));
+  const Graph g = social_like(1500, 12'000, 0.4, 7);
+  const Digraph dag = Digraph::orient(g, degeneracy_order(g).order);
+  const EdgeOrderResult want_order = reference::community_degeneracy_order(g);
+  const EdgeCommunities want_comms = reference::build_communities(dag);
+  std::vector<int> matches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < matches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        matches[t] += same(community_degeneracy_order(g), want_order);
+        matches[t] += same(EdgeCommunities::build(dag), want_comms);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  set_num_workers(saved);
+  for (const int m : matches) EXPECT_EQ(m, 6);
 }
 
 TEST(CommunityDegeneracy, ApproxRejectsBadEps) {

@@ -8,6 +8,9 @@
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
 #include "graph/gen/paper_examples.hpp"
+#include "order/degeneracy.hpp"
+#include "parallel/parallel.hpp"
+#include "triangle/reference_builders.hpp"
 #include "triangle/triangle_count.hpp"
 
 namespace c3 {
@@ -103,6 +106,30 @@ TEST(Communities, MaxSizeIsGamma) {
   // Largest community in K9 under any total order: the (first,last) edge
   // holds all 7 middle vertices.
   EXPECT_EQ(comms.max_size(), 7u);
+}
+
+template <typename T>
+std::vector<T> bytes(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+void expect_same_as_reference(const Digraph& dag) {
+  const EdgeCommunities got = EdgeCommunities::build(dag);
+  const EdgeCommunities want = reference::build_communities(dag);
+  EXPECT_EQ(bytes(got.raw_offsets()), bytes(want.raw_offsets())) << "arcs=" << dag.num_arcs();
+  EXPECT_EQ(bytes(got.raw_members()), bytes(want.raw_members())) << "arcs=" << dag.num_arcs();
+}
+
+TEST(Communities, ByteIdenticalToReferenceBuilder) {
+  for (const int workers : {1, std::max(4, max_workers())}) {
+    SCOPED_TRACE(workers);
+    const int saved = set_num_workers(workers);
+    for (const Graph& g : reference::graphs()) {
+      expect_same_as_reference(orient_by_id(g));
+      expect_same_as_reference(Digraph::orient(g, degeneracy_order(g).order));
+    }
+    set_num_workers(saved);
+  }
 }
 
 TEST(Communities, EmptyGraph) {
