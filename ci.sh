@@ -42,6 +42,10 @@ run_config() {
   cmake -B "${dir}" -S . "$@"
   echo "==== [${name}] build ===="
   cmake --build "${dir}" -j "${jobs}"
+  if [ "${name}" = "release" ]; then
+    echo "==== [${name}] ISA gate (objdump) ===="
+    isa_gate_check "${dir}"
+  fi
   echo "==== [${name}] ctest ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" ${label_args[@]+"${label_args[@]}"}
   if [ "${name}" = "release" ]; then
@@ -104,6 +108,53 @@ run_config() {
     echo "==== [${name}] c3serve metrics smoke ===="
     metrics_smoke "${dir}"
   fi
+}
+
+# On x86-64, checks the per-file ISA gating in the built objects: the POPCNT
+# search build (recursive_popcnt.cpp) must run hardware POPCNT and never call
+# libgcc's __popcountdi2, and no object outside the ISA-gated TUs (that one
+# and bitkernels_avx2/avx512.cpp) may contain a popcnt instruction — the
+# library must still start on hardware without it. A missing objdump is an
+# error, not a skip.
+isa_gate_check() {
+  local dir="$1"
+  case "$(uname -m)" in
+    x86_64|amd64) ;;
+    *) echo "ISA gate: not x86-64, nothing to check"; return 0 ;;
+  esac
+  if ! command -v objdump >/dev/null 2>&1; then
+    echo "objdump not found (binutils) — the ISA gate cannot run" >&2
+    exit 1
+  fi
+  local fast
+  fast="$(find "${dir}" -name 'recursive_popcnt.cpp.o' -print -quit)"
+  if [ -z "${fast}" ]; then
+    echo "recursive_popcnt.cpp.o not found under ${dir}" >&2
+    exit 1
+  fi
+  # No `grep -q` here: under pipefail its early exit would SIGPIPE objdump
+  # and turn a match into a failed pipeline.
+  if objdump -dr "${fast}" | grep '__popcountdi2' >/dev/null; then
+    echo "${fast} calls __popcountdi2: the POPCNT search build lost its -mpopcnt" >&2
+    exit 1
+  fi
+  if ! objdump -d "${fast}" | grep -P '\tpopcnt\s' >/dev/null; then
+    echo "${fast} has no popcnt instruction: is C3_SEARCH_POPCNT defined for it?" >&2
+    exit 1
+  fi
+  local obj offenders=()
+  while IFS= read -r obj; do
+    case "$(basename "${obj}")" in
+      bitkernels_avx2.cpp.o|bitkernels_avx512.cpp.o|recursive_popcnt.cpp.o) continue ;;
+    esac
+    if objdump -d "${obj}" | grep -P '\tpopcnt\s' >/dev/null; then offenders+=("${obj}"); fi
+  done < <(find "${dir}" -name '*.o')
+  if [ ${#offenders[@]} -gt 0 ]; then
+    echo "popcnt instructions outside the ISA-gated TUs:" >&2
+    printf '  %s\n' "${offenders[@]}" >&2
+    exit 1
+  fi
+  echo "ISA gate ok: ${fast} runs POPCNT; no other object does"
 }
 
 # Starts c3serve --demo on an ephemeral port, drives queries over /dev/tcp,

@@ -45,6 +45,7 @@
 #include "clique/max_clique.hpp"
 #include "clique/peeling.hpp"
 #include "clique/query.hpp"
+#include "clique/recursive.hpp"
 #include "clique/service.hpp"
 #include "clique/spectrum.hpp"
 #include "clique/vertex_counts.hpp"

@@ -87,7 +87,6 @@ struct CliqueResult {
 
 /// Per-worker counter block merged into CliqueStats at the end of a run.
 struct LocalCounters {
-  count_t cliques = 0;
   count_t recursive_calls = 0;
   count_t pairs_probed = 0;
   count_t edges_matched = 0;
@@ -96,7 +95,6 @@ struct LocalCounters {
   count_t dense_subproblems = 0;
 
   void merge_into(CliqueStats& s) const noexcept {
-    s.cliques += cliques;
     s.recursive_calls += recursive_calls;
     s.pairs_probed += pairs_probed;
     s.edges_matched += edges_matched;

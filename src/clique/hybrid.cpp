@@ -24,21 +24,20 @@ void local_degeneracy_order(const LocalGraph& lg, std::vector<int>& order,
   order.clear();
   if (n == 0) return;
 
-  // Materialize adjacency lists from the bitset rows.
+  // Materialize adjacency lists from the bitset rows, counting each degree
+  // as its row is walked (no per-row popcount).
   s.adj_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   s.degree.assign(static_cast<std::size_t>(n), 0);
+  s.adj.clear();
   int max_deg = 0;
   for (int v = 0; v < n; ++v) {
-    const int d = lg.degree(v);
-    s.degree[static_cast<std::size_t>(v)] = d;
-    s.adj_offsets[static_cast<std::size_t>(v) + 1] = s.adj_offsets[static_cast<std::size_t>(v)] + d;
-    max_deg = std::max(max_deg, d);
-  }
-  s.adj.resize(static_cast<std::size_t>(s.adj_offsets[static_cast<std::size_t>(n)]));
-  for (int v = 0; v < n; ++v) {
-    int cursor = s.adj_offsets[static_cast<std::size_t>(v)];
     bits::for_each_bit(lg.row(v), static_cast<std::size_t>(lg.words()),
-                       [&](std::size_t w) { s.adj[static_cast<std::size_t>(cursor++)] = static_cast<int>(w); });
+                       [&](std::size_t w) { s.adj.push_back(static_cast<int>(w)); });
+    const int end = static_cast<int>(s.adj.size());
+    const int d = end - s.adj_offsets[static_cast<std::size_t>(v)];
+    s.adj_offsets[static_cast<std::size_t>(v) + 1] = end;
+    s.degree[static_cast<std::size_t>(v)] = d;
+    max_deg = std::max(max_deg, d);
   }
 
   // Batagelj-Zaversnik bin sweep (see order/degeneracy.cpp for the argument).

@@ -66,11 +66,6 @@ class LocalGraph {
     return rows_.data() + static_cast<std::size_t>(a) * static_cast<std::size_t>(words_);
   }
 
-  /// Local degree of a (popcount of its row).
-  [[nodiscard]] int degree(int a) const noexcept {
-    return static_cast<int>(kern::popcount(row(a), static_cast<std::size_t>(words_)));
-  }
-
   /// Rows touched since the last reset (test/observability hook for the
   /// lazy-clearing invariant).
   [[nodiscard]] int dirty_rows() const noexcept { return static_cast<int>(dirty_rows_.size()); }

@@ -19,6 +19,10 @@
 // produced exactly once. The interval restriction in the intersection is
 // what enforces "community" (= vertices ordered strictly between the
 // endpoints) rather than "common neighborhood".
+//
+// The recursions live in recursive_impl.hpp, compiled twice: a baseline
+// build and, on x86-64, a -mpopcnt build; the entries below pick one from
+// the active bit-kernel backend on every call (search_build_name).
 #pragma once
 
 #include <atomic>
@@ -88,40 +92,33 @@ struct SearchContext {
   std::size_t depth_ = 0;
 };
 
-/// Runs Algorithm 2: counts (and in listing mode reports) the c-cliques of
-/// ctx.lg restricted to candidates `I` (sorted ascending local ids) with
-/// membership mask `I_mask`. `level` indexes the scratch arrays and must
-/// leave room for ceil(c/2) further levels.
-[[nodiscard]] count_t search_cliques(SearchContext& ctx, std::span<const int> I,
-                                     const std::uint64_t* I_mask, int c, int level);
-
-/// Runs the *triangle-growth* generalization the paper's conclusion poses as
-/// future work ("extend the cliques by larger motifs such as triangles"):
-/// each level adds a triangle (a, x, b) — a/b the extremes and x the minimal
-/// internal vertex of the remaining clique — and recurses with c - 3 on
-/// B(a,b) ∩ N(x) ∩ {> x}. Uniqueness: (min, second-min, max) of every clique
-/// is a canonical triple, so each clique is still produced exactly once.
-/// Depth shrinks from ~c/2 to ~c/3 levels.
-[[nodiscard]] count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
-                                         const std::uint64_t* I_mask, int c, int level);
-
-/// Convenience wrapper: search over *all* vertices of the local graph
-/// (candidate set = the full universe). Used by the top level of Algorithm 1
-/// (I = C(e)), Algorithm 3 (I = V'(e)), and the hybrid's per-vertex
-/// subproblems (I = N+(v)).
+/// Runs Algorithm 2 over *all* vertices of the local graph (candidate set =
+/// the full universe) and returns the number of c-cliques of ctx.lg, reporting
+/// each through ctx.callback in listing mode. Used by the top level of
+/// Algorithm 1 (I = C(e)), Algorithm 3 (I = V'(e)), and the hybrid's
+/// per-vertex subproblems (I = N+(v)); sizes the scratch itself.
+///
+/// Each level grows the partial clique by the supporting pair (a, b) of the
+/// remaining clique and recurses on I ∩ C(a, b). With `triangle_growth` it
+/// runs the generalization the paper's conclusion poses as future work
+/// ("extend the cliques by larger motifs such as triangles"): each level adds
+/// a triangle (a, x, b) — a/b the extremes and x the minimal internal vertex
+/// of the remaining clique — and recurses with c - 3 on B(a,b) ∩ N(x) ∩ {> x}.
+/// (min, second-min, max) of every clique is a canonical triple, so each
+/// clique is still produced exactly once; depth shrinks from ~c/2 to ~c/3.
 [[nodiscard]] count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth = false);
 
-/// Vertex-at-a-time recursion over the candidate mask: pick the next clique
-/// vertex x ascending (= respecting the orientation), descend into
-/// mask ∩ N(x) ∩ {> x} with c - 1. The arboricity-style counterpart of
-/// search_cliques — one vertex per level instead of an edge — shared by
-/// ArbCount and kcList's dense-subproblem path. `level` indexes the mask
-/// scratch and must leave room for c - 2 further levels.
-[[nodiscard]] count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c,
-                                            int level);
-
-/// Vertex-growth search over the full local universe (candidate mask = all
-/// of ctx.lg); sizes the scratch itself.
+/// Vertex-at-a-time recursion over the full local universe: pick the next
+/// clique vertex x ascending (= respecting the orientation), descend into
+/// mask ∩ N(x) ∩ {> x} with c - 1. The arboricity-style counterpart of the
+/// pair growth — one vertex per level instead of an edge — shared by
+/// ArbCount and kcList's dense-subproblem path; sizes the scratch itself.
 [[nodiscard]] count_t search_cliques_vertex_all(SearchContext& ctx, int c);
+
+/// The build of the recursions the backend `b` runs (DESIGN.md §7, "Search
+/// builds"): "popcnt" — compiled with -mpopcnt — for every vector backend on
+/// an x86-64 host, "baseline" for the scalar backend and on other targets.
+/// Both builds take identical steps; only the instructions differ.
+[[nodiscard]] const char* search_build_name(bits::KernelBackend b) noexcept;
 
 }  // namespace c3

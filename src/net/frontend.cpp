@@ -7,6 +7,7 @@
 
 #include "clique/engine.hpp"
 #include "clique/query.hpp"
+#include "clique/recursive.hpp"
 #include "util/bitkernels.hpp"
 #include "util/timer.hpp"
 
@@ -176,7 +177,9 @@ std::string LineFrontEnd::stats_line() const {
           " cache_evictions=" + std::to_string(s.cache.evictions) +
           " cache_entries=" + std::to_string(s.cache.entries) +
           " cache_cross_k_hits=" + std::to_string(s.cache.cross_k_hits);
-  line += std::string(" kernel=") + bits::kernel_backend_name(bits::active_kernel_backend());
+  const bits::KernelBackend backend = bits::active_kernel_backend();
+  line += std::string(" kernel=") + bits::kernel_backend_name(backend) +
+          " search=" + search_build_name(backend);
   if (stats_suffix_) {
     // one_line: a multi-line suffix must not corrupt the one-answer-per-line
     // protocol (the suffix source is caller code the front end cannot vet).

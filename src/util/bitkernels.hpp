@@ -3,7 +3,8 @@
 // Every search half of the clique engine bottoms out in the same handful of
 // operations over 64-bit word rows (the paper's "boolean indicator tables",
 // Section 2.2): masked AND, AND+popcount, fused interval/suffix intersection,
-// and set-bit iteration. This header exposes them twice:
+// and set-bit iteration. This header exposes the dispatch and the layout it
+// expects:
 //
 //   * `bits::kernels()` — a function-pointer table selected once at startup
 //     from the best backend the host CPU supports (AVX-512-VPOPCNTDQ > AVX2 >
@@ -12,10 +13,10 @@
 //     for tests and ablation benches. The scalar backend is always compiled
 //     and is bit-for-bit the reference implementation in util/bitwords.hpp.
 //
-//   * `kern::*` — the inline wrappers the hot paths call. Rows of up to
-//     kKernelInlineWords words short-circuit to the inlined scalar helpers
-//     (a dispatch call costs more than the op itself at that size); wider
-//     rows go through the table.
+//   * the storage contract below. Callers run rows of up to
+//     kKernelInlineWords words inline (a dispatch call costs more than the
+//     op itself at that size) and send wider rows through the table; the
+//     search's narrow-row paths live in clique/recursive_impl.hpp.
 //
 // Alignment/stride contract (DESIGN.md "Kernel substrate"): callers lay rows
 // out with kernel_stride_words(n) words per row inside KernelWords storage
@@ -36,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <type_traits>
 #include <vector>
 
 #include "util/bitwords.hpp"
@@ -150,74 +150,3 @@ class KernelAllocator {
 using KernelWords = std::vector<std::uint64_t, KernelAllocator<std::uint64_t>>;
 
 }  // namespace c3::bits
-
-// The call layer the hot loops use: tiny rows inline as scalar code, wide
-// rows dispatch to the selected backend. Signatures mirror bits:: exactly.
-namespace c3::kern {
-
-inline void and_into(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t nwords) noexcept {
-  if (nwords <= bits::kKernelInlineWords) return bits::and_into(dst, a, b, nwords);
-  bits::kernels().and_into(dst, a, b, nwords);
-}
-
-inline void and_assign(std::uint64_t* dst, const std::uint64_t* a, std::size_t nwords) noexcept {
-  if (nwords <= bits::kKernelInlineWords) return bits::and_assign(dst, a, nwords);
-  bits::kernels().and_assign(dst, a, nwords);
-}
-
-[[nodiscard]] inline std::uint64_t popcount(const std::uint64_t* a, std::size_t nwords) noexcept {
-  if (nwords <= bits::kKernelInlineWords) return bits::popcount(a, nwords);
-  return bits::kernels().popcount(a, nwords);
-}
-
-[[nodiscard]] inline std::uint64_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
-                                                std::size_t nwords) noexcept {
-  if (nwords <= bits::kKernelInlineWords) return bits::popcount_and(a, b, nwords);
-  return bits::kernels().popcount_and(a, b, nwords);
-}
-
-[[nodiscard]] inline std::uint64_t popcount_and3(const std::uint64_t* a, const std::uint64_t* b,
-                                                 const std::uint64_t* c,
-                                                 std::size_t nwords) noexcept {
-  if (nwords <= bits::kKernelInlineWords) return bits::popcount_and3(a, b, c, nwords);
-  return bits::kernels().popcount_and3(a, b, c, nwords);
-}
-
-[[nodiscard]] inline std::uint64_t intersect_interval(const std::uint64_t* a,
-                                                      const std::uint64_t* b,
-                                                      const std::uint64_t* mask,
-                                                      std::uint64_t* dst, std::size_t nwords,
-                                                      std::size_t lo, std::size_t hi) noexcept {
-  // Short-circuit on the *interval's* word span, not the row stride: the op
-  // only reads [word(lo), word(hi)] (the rest of dst is a clear), so a narrow
-  // community interval inside a wide row is still a tiny-op for which the
-  // dispatch call costs more than the work.
-  if (nwords <= bits::kKernelInlineWords || hi < lo ||
-      bits::word_index(hi) - bits::word_index(lo) < bits::kKernelInlineWords)
-    return bits::intersect_interval(a, b, mask, dst, nwords, lo, hi);
-  return bits::kernels().intersect_interval(a, b, mask, dst, nwords, lo, hi);
-}
-
-[[nodiscard]] inline std::uint64_t intersect_above(const std::uint64_t* a,
-                                                   const std::uint64_t* mask, std::uint64_t* dst,
-                                                   std::size_t nwords, std::size_t x) noexcept {
-  // Same span logic: only the suffix past word(x) does real AND+popcount
-  // work, and the vertex-growth recursions shrink that suffix as x climbs.
-  if (nwords <= bits::kKernelInlineWords ||
-      nwords - bits::word_index(x) <= bits::kKernelInlineWords)
-    return bits::intersect_above(a, mask, dst, nwords, x);
-  return bits::kernels().intersect_above(a, mask, dst, nwords, x);
-}
-
-template <typename F>
-inline void for_each_bit_and(const std::uint64_t* a, const std::uint64_t* b, std::size_t nwords,
-                             F&& f) {
-  if (nwords <= bits::kKernelInlineWords) return bits::for_each_bit_and(a, b, nwords, f);
-  using Fn = std::remove_reference_t<F>;
-  bits::kernels().for_each_bit_and(
-      a, b, nwords, const_cast<void*>(static_cast<const void*>(&f)),
-      [](void* ctx, std::size_t bit) { (*static_cast<Fn*>(ctx))(bit); });
-}
-
-}  // namespace c3::kern

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
 #include <random>
+#include <vector>
 
 #include "clique/combinatorics.hpp"
 #include "util/bitkernels.hpp"
@@ -26,6 +30,11 @@ struct EngineFixture {
   count_t count_all(int c) { return search_cliques_all(ctx, c); }
   count_t count_vertex_all(int c) { return search_cliques_vertex_all(ctx, c); }
 };
+
+/// Number of neighbours in a's row.
+int row_degree(const LocalGraph& lg, int a) {
+  return static_cast<int>(bits::popcount(lg.row(a), static_cast<std::size_t>(lg.words())));
+}
 
 /// Restores the active kernel backend on scope exit.
 struct BackendGuard {
@@ -184,6 +193,162 @@ TEST(RecursiveEngine, ScalarBackendMatchesHostDefault) {
   EXPECT_EQ(host, scalar);
 }
 
+/// Counts the c-cliques of `adj` (symmetric adjacency matrix) by extending
+/// ascending vertex sets with common neighbours — the oracle for the
+/// backend x width agreement test.
+count_t brute_force_cliques(const std::vector<std::vector<char>>& adj, int c) {
+  const int n = static_cast<int>(adj.size());
+  std::function<count_t(const std::vector<int>&, int)> extend =
+      [&](const std::vector<int>& cands, int need) -> count_t {
+    if (need == 0) return 1;
+    count_t total = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      std::vector<int> next;
+      for (std::size_t j = i + 1; j < cands.size(); ++j) {
+        if (adj[static_cast<std::size_t>(cands[i])][static_cast<std::size_t>(cands[j])] != 0)
+          next.push_back(cands[j]);
+      }
+      total += extend(next, need - 1);
+    }
+    return total;
+  };
+  std::vector<int> all(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
+  return extend(all, c);
+}
+
+/// Everything one search reports: its count, its work counters, and (when
+/// listing) an order-independent checksum of the cliques it emitted.
+struct SearchTrace {
+  count_t count = 0;
+  count_t recursive_calls = 0, pairs_probed = 0, edges_matched = 0;
+  count_t intersection_words = 0, leaf_work = 0;
+  std::uint64_t checksum = 0;
+
+  bool operator==(const SearchTrace&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SearchTrace& t) {
+  return os << "{count=" << t.count << " calls=" << t.recursive_calls
+            << " probed=" << t.pairs_probed << " matched=" << t.edges_matched
+            << " words=" << t.intersection_words << " leaf=" << t.leaf_work
+            << " checksum=" << t.checksum << "}";
+}
+
+enum class Growth { Pair, Triangle, Vertex };
+
+SearchTrace run_search(const LocalGraph& lg, Growth growth, int c, bool listing) {
+  SearchContext ctx;
+  LocalCounters ctr;
+  ctx.lg = &lg;
+  ctx.ctr = &ctr;
+  std::vector<node_t> identity(static_cast<std::size_t>(lg.size()));
+  for (std::size_t v = 0; v < identity.size(); ++v) identity[v] = static_cast<node_t>(v);
+  SearchTrace t;
+  const CliqueCallback cb = [&](std::span<const node_t> clique) {
+    std::vector<node_t> sorted(clique.begin(), clique.end());
+    std::sort(sorted.begin(), sorted.end());
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const node_t v : sorted) h = (h ^ v) * 0x100000001b3ULL;
+    t.checksum += h;
+    return true;
+  };
+  if (listing) {
+    ctx.callback = &cb;
+    ctx.member_to_orig = identity.data();
+  }
+  t.count = growth == Growth::Vertex ? search_cliques_vertex_all(ctx, c)
+                                     : search_cliques_all(ctx, c, growth == Growth::Triangle);
+  t.recursive_calls = ctr.recursive_calls;
+  t.pairs_probed = ctr.pairs_probed;
+  t.edges_matched = ctr.edges_matched;
+  t.intersection_words = ctr.intersection_words;
+  t.leaf_work = ctr.leaf_work;
+  return t;
+}
+
+TEST(RecursiveEngine, BackendsAndWidthsAgreeWithBruteForce) {
+  // Universes on both sides of the one-word path (<= 64 vertices) and of
+  // the word boundaries; every backend runs its own search build (baseline
+  // for scalar, POPCNT for the x86-64 vector backends). Same work, cheaper
+  // operations: counts match brute force and every work counter is
+  // identical across backends.
+  const BackendGuard guard;
+  const std::vector<bits::KernelBackend> backends = bits::available_kernel_backends();
+  std::mt19937 rng(16);
+  for (const int n : {1, 2, 63, 64, 65, 128, 129, 300}) {
+    // Dense with seeded missing edges (sparser at 300 vertices, whose wide
+    // rows send the long intervals through the kernel table), plus a planted
+    // clique over bits 0, 62/63/64, 127/128 and 255/256, so community
+    // intervals start at bit 0 and end on either side of word boundaries.
+    std::bernoulli_distribution missing(n <= 64 ? 0.4 : n <= 129 ? 0.5 : 0.85);
+    std::vector<std::vector<char>> adj(static_cast<std::size_t>(n),
+                                       std::vector<char>(static_cast<std::size_t>(n), 0));
+    std::vector<int> planted;
+    for (const int v : {0, 1, 62, 63, 64, 65, 127, 128, 255, 256, 299}) {
+      if (v < n) planted.push_back(v);
+    }
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        const bool in_planted = std::count(planted.begin(), planted.end(), a) > 0 &&
+                                std::count(planted.begin(), planted.end(), b) > 0;
+        if (in_planted || !missing(rng)) {
+          adj[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = 1;
+          adj[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = 1;
+        }
+      }
+    }
+    LocalGraph lg;
+    lg.reset(n);
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        if (adj[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] != 0) lg.add_edge(a, b);
+      }
+    }
+    for (int c = 1; c <= 6; ++c) {
+      const count_t expected = brute_force_cliques(adj, c);
+      std::optional<std::uint64_t> checksum;  // of the first listing run
+      for (const Growth growth : {Growth::Pair, Growth::Triangle, Growth::Vertex}) {
+        for (const bool listing : {false, true}) {
+          SearchTrace reference;
+          for (const bits::KernelBackend b : backends) {
+            ASSERT_TRUE(bits::set_kernel_backend(b));
+            const SearchTrace t = run_search(lg, growth, c, listing);
+            const std::string where = "n=" + std::to_string(n) + " c=" + std::to_string(c) +
+                                      " growth=" + std::to_string(static_cast<int>(growth)) +
+                                      " listing=" + std::to_string(listing) + " backend=" +
+                                      bits::kernel_backend_name(b) + " search=" +
+                                      search_build_name(b);
+            EXPECT_EQ(t.count, expected) << where;
+            if (b == backends.front()) {
+              reference = t;
+            } else {
+              EXPECT_EQ(t, reference) << where;
+            }
+            // Every growth mode lists the same set of cliques.
+            if (listing) {
+              if (!checksum) checksum = t.checksum;
+              EXPECT_EQ(t.checksum, *checksum) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RecursiveEngine, SearchBuildFollowsBackend) {
+  EXPECT_STREQ(search_build_name(bits::KernelBackend::Scalar), "baseline");
+  for (const bits::KernelBackend b : bits::available_kernel_backends()) {
+    if (b == bits::KernelBackend::Scalar) continue;
+#if defined(__x86_64__)
+    EXPECT_STREQ(search_build_name(b), "popcnt") << bits::kernel_backend_name(b);
+#else
+    EXPECT_STREQ(search_build_name(b), "baseline") << bits::kernel_backend_name(b);
+#endif
+  }
+}
+
 TEST(RecursiveEngine, LocalGraphResetClearsLazily) {
   LocalGraph lg;
   lg.reset(200);
@@ -197,17 +362,17 @@ TEST(RecursiveEngine, LocalGraphResetClearsLazily) {
   // though only the dirty ones were cleared.
   lg.reset(160);
   EXPECT_EQ(lg.dirty_rows(), 0);
-  for (int a = 0; a < 160; ++a) ASSERT_EQ(lg.degree(a), 0) << "a=" << a;
+  for (int a = 0; a < 160; ++a) ASSERT_EQ(row_degree(lg, a), 0) << "a=" << a;
   EXPECT_FALSE(lg.has_edge(3, 7));
 
   // Re-population under the new (smaller) universe behaves normally.
   lg.add_edge(0, 159);
   EXPECT_TRUE(lg.has_edge(159, 0));
-  EXPECT_EQ(lg.degree(0), 1);
+  EXPECT_EQ(row_degree(lg, 0), 1);
 
   // Growing reset after use: the new rows are zero too.
   lg.reset(500);
-  for (int a = 0; a < 500; ++a) ASSERT_EQ(lg.degree(a), 0) << "a=" << a;
+  for (int a = 0; a < 500; ++a) ASSERT_EQ(row_degree(lg, a), 0) << "a=" << a;
 }
 
 TEST(RecursiveEngine, LocalGraphStrideFollowsKernelContract) {

@@ -16,8 +16,10 @@
 #include "clique/answer_cache.hpp"
 #include "clique/engine.hpp"
 #include "clique/query.hpp"
+#include "clique/recursive.hpp"
 #include "clique/service.hpp"
 #include "graph/gen/generators.hpp"
+#include "util/bitkernels.hpp"
 
 namespace c3::net {
 namespace {
@@ -236,6 +238,26 @@ TEST(FrontEnd, FreedSlotOnOneGraphNeverStrandsAnothersWaiter) {
   const FrontEndStats s = fe.stats();
   EXPECT_EQ(s.answered, static_cast<std::uint64_t>(kThreads) * kReps);
   EXPECT_LE(s.peak_inflight, 1) << "a gate admitted past its cap";
+}
+
+TEST(FrontEnd, StatsNamesKernelAndSearchBuild) {
+  // The backend also picks the recursion build, so the stats line names
+  // both — and must follow a runtime backend switch.
+  CliqueService service;
+  add_two_graphs(service);
+  LineFrontEnd fe(service, nullptr);
+  const bits::KernelBackend saved = bits::active_kernel_backend();
+  for (const bits::KernelBackend b : bits::available_kernel_backends()) {
+    ASSERT_TRUE(bits::set_kernel_backend(b));
+    const std::string expected = std::string(" kernel=") + bits::kernel_backend_name(b) +
+                                 " search=" + search_build_name(b);
+    const std::string line = fe.process("stats").line;
+    EXPECT_NE(line.find(expected), std::string::npos) << line;
+    if (b == bits::KernelBackend::Scalar) {
+      EXPECT_NE(line.find(" kernel=scalar search=baseline"), std::string::npos) << line;
+    }
+  }
+  bits::set_kernel_backend(saved);
 }
 
 TEST(FrontEnd, StatsSuffixHookAppends) {
