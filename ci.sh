@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification matrix, runnable locally or from CI:
-#   1. Release + OpenMP            (the configuration benchmarks run in)
+#   1. Release + OpenMP            (the configuration benchmarks run in;
+#                                   also builds, without running, perfbench/)
 #   2. Debug + ASan/UBSan          (memory + UB coverage for the parallel paths)
 #   3. Release, OpenMP disabled    (the exactly-deterministic serial fallback)
 #   4. TSan, OpenMP disabled       (data-race coverage for the concurrent
@@ -45,6 +46,12 @@ run_config() {
   if [ "${name}" = "release" ]; then
     echo "==== [${name}] ISA gate (objdump) ===="
     isa_gate_check "${dir}"
+    # The committed benchmark is its own CMake project over the library
+    # (perfbench/CMakeLists.txt). Build it, without running it, so an API
+    # change that breaks it fails here rather than in the benchmark.
+    echo "==== [${name}] build perfbench ===="
+    cmake -S perfbench -B "${dir}/perfbench" -DCMAKE_BUILD_TYPE=Release
+    cmake --build "${dir}/perfbench" -j "${jobs}"
   fi
   echo "==== [${name}] ctest ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" ${label_args[@]+"${label_args[@]}"}

@@ -20,9 +20,13 @@
 //                           one run(id, query) surface)
 //   Snapshots               snapshot/snapshot.hpp (serialize a prepared
 //                           engine offline, mmap it back at serve time)
-//   Individual algorithms   clique/c3list.hpp, clique/c3list_cd.hpp,
+//   Individual algorithms   the search halves the engine dispatches to:
+//                           clique/c3list.hpp, clique/c3list_cd.hpp,
 //                           clique/hybrid.hpp, clique/kclist.hpp,
-//                           clique/arbcount.hpp, clique/bruteforce.hpp
+//                           clique/arbcount.hpp; clique/bruteforce.hpp is
+//                           the reference. One-shot use of any of them is
+//                           count_cliques / list_cliques with
+//                           opts.algorithm set
 //   Extensions              clique/max_clique.hpp, clique/bron_kerbosch.hpp,
 //                           clique/vertex_counts.hpp, clique/peeling.hpp
 //

@@ -1,9 +1,7 @@
 #include "clique/arbcount.hpp"
 
-#include <atomic>
 #include <vector>
 
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
 #include "parallel/parallel.hpp"
@@ -27,13 +25,12 @@ CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* ca
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(callback);
 
   parallel_for_dynamic(
       0, n,
       [&](std::size_t u) {
-        if (stop.load(std::memory_order_relaxed)) return;
+        if (scratch.halted()) return;
         const auto members = dag.out_neighbors(static_cast<node_t>(u));
         if (static_cast<int>(members.size()) < k - 1) return;
         CliqueScratch& w = scratch.local();
@@ -44,8 +41,6 @@ CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* ca
         w.ctx.lg = &w.lg;
         w.ctx.ctr = &w.ctr;
         ++w.ctr.dense_subproblems;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           w.member_orig.resize(members.size());
           for (std::size_t i = 0; i < members.size(); ++i)
@@ -63,19 +58,6 @@ CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* ca
   scratch.merge_into(result);
   result.stats.search_seconds = search_timer.seconds();
   return result;
-}
-
-CliqueResult arbcount_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::ArbCount;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult arbcount_list(const Graph& g, int k, const CliqueCallback& callback,
-                           const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::ArbCount;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

@@ -21,13 +21,6 @@
 
 namespace c3 {
 
-/// Counts all k-cliques with ArbCount.
-[[nodiscard]] CliqueResult arbcount_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant.
-[[nodiscard]] CliqueResult arbcount_list(const Graph& g, int k, const CliqueCallback& callback,
-                                         const CliqueOptions& opts = {});
-
 /// Search half on a prepared orientation: requires k >= 3. `callback` may be
 /// null (counting). `scratch` is this query's leased state (see
 /// c3list_search).

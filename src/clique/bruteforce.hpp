@@ -11,11 +11,17 @@
 
 namespace c3 {
 
-/// Counts all k-cliques by exhaustive backtracking.
-[[nodiscard]] count_t brute_force_count(const Graph& g, int k);
+struct QueryLimit;
+
+/// Counts all k-cliques by exhaustive backtracking. A non-null `limit` is
+/// polled like the recursive searches poll it; once it expires the search
+/// stops and the count is partial.
+[[nodiscard]] count_t brute_force_count(const Graph& g, int k, QueryLimit* limit = nullptr);
 
 /// Lists all k-cliques (ascending vertex order within each clique).
-/// Returns the number reported; stops early when the callback returns false.
-count_t brute_force_list(const Graph& g, int k, const CliqueCallback& callback);
+/// Returns the number reported; stops early when the callback returns false
+/// or `limit` expires.
+count_t brute_force_list(const Graph& g, int k, const CliqueCallback& callback,
+                         QueryLimit* limit = nullptr);
 
 }  // namespace c3

@@ -1,9 +1,7 @@
 #include "clique/c3list.hpp"
 
-#include <atomic>
 #include <vector>
 
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
 #include "parallel/pack.hpp"
@@ -26,13 +24,12 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
       dag.num_arcs(), [&](std::size_t e) { return comms.size(static_cast<edge_t>(e)) >= needed; });
   result.stats.top_level_tasks = tasks.size();
 
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(callback);
 
   parallel_for_dynamic(
       0, tasks.size(),
       [&](std::size_t t) {
-        if (stop.load(std::memory_order_relaxed)) return;
+        if (scratch.halted()) return;
         CliqueScratch& w = scratch.local();
         const edge_t e = tasks[t];
         const auto members = comms.members(e);
@@ -53,8 +50,6 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           w.member_orig.resize(members.size());
           for (std::size_t i = 0; i < members.size(); ++i)
@@ -73,19 +68,6 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
   scratch.merge_into(result);
   result.stats.search_seconds = search_timer.seconds();
   return result;
-}
-
-CliqueResult c3list_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3List;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult c3list_list(const Graph& g, int k, const CliqueCallback& callback,
-                         const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3List;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

@@ -10,7 +10,9 @@
 //
 // The pipeline is split into a prepare half (order + orientation +
 // communities, owned by PreparedGraph in engine.hpp) and the search half
-// below, so one preparation can serve many k queries.
+// below, so one preparation can serve many k queries. One-shot counting and
+// listing go through count_cliques / list_cliques (api.hpp) with
+// opts.algorithm set; the same holds for every algorithm's header.
 #pragma once
 
 #include "clique/common.hpp"
@@ -21,15 +23,6 @@
 #include "triangle/communities.hpp"
 
 namespace c3 {
-
-/// Counts all k-cliques of g. Options select the orientation (exact
-/// degeneracy, (2+eps)-approximate, or by id) and the pruning ablation.
-[[nodiscard]] CliqueResult c3list_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Lists all k-cliques of g through `callback` (see CliqueCallback for the
-/// early-exit contract). Returns the number of cliques reported.
-[[nodiscard]] CliqueResult c3list_list(const Graph& g, int k, const CliqueCallback& callback,
-                                       const CliqueOptions& opts = {});
 
 /// Search half of Algorithm 1 on prepared artifacts: requires k >= 3, an
 /// oriented `dag` and its edge communities. `callback` may be null

@@ -1,9 +1,7 @@
 #include "clique/c3list_cd.hpp"
 
 #include <algorithm>
-#include <atomic>
 
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
 #include "parallel/pack.hpp"
@@ -66,13 +64,12 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
   result.stats.gamma = gamma;
 
   const auto endpoints = g.endpoints();
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(callback);
 
   parallel_for_dynamic(
       0, tasks.size(),
       [&](std::size_t t) {
-        if (stop.load(std::memory_order_relaxed)) return;
+        if (scratch.halted()) return;
         CliqueScratch& w = scratch.local();
         const edge_t e = tasks[t];
         const auto members = order.candidates(e);
@@ -81,8 +78,6 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           // V'(e) members are original vertex ids already.
           w.ctx.member_to_orig = members.data();
@@ -98,32 +93,6 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
   scratch.merge_into(result);
   result.stats.search_seconds = search_timer.seconds();
   return result;
-}
-
-CliqueResult c3list_cd_count_with_order(const Graph& g, int k, const EdgeOrderResult& order,
-                                        const CliqueOptions& opts) {
-  if (k <= 2) {
-    CliqueOptions o = opts;
-    o.algorithm = Algorithm::C3ListCD;
-    CliqueResult result = PreparedGraph(g, o).count(k);
-    result.stats.order_quality = order.sigma;
-    return result;
-  }
-  QueryScratch scratch;
-  return c3list_cd_search(g, order, k, nullptr, opts, scratch);
-}
-
-CliqueResult c3list_cd_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3ListCD;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult c3list_cd_list(const Graph& g, int k, const CliqueCallback& callback,
-                            const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3ListCD;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

@@ -20,20 +20,6 @@
 
 namespace c3 {
 
-/// Counts all k-cliques with Algorithm 3. `opts.edge_order` selects the
-/// exact greedy or the Algorithm 4 approximate edge order.
-[[nodiscard]] CliqueResult c3list_cd_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant (see CliqueCallback).
-[[nodiscard]] CliqueResult c3list_cd_list(const Graph& g, int k, const CliqueCallback& callback,
-                                          const CliqueOptions& opts = {});
-
-/// Runs Algorithm 3 on a precomputed edge order (exposed for benches that
-/// want to time the search separately from the preprocessing).
-[[nodiscard]] CliqueResult c3list_cd_count_with_order(const Graph& g, int k,
-                                                      const EdgeOrderResult& order,
-                                                      const CliqueOptions& opts = {});
-
 /// Search half of Algorithm 3 on a prepared edge order: requires k >= 3.
 /// `callback` may be null (counting). `scratch` is this query's leased
 /// state (see c3list_search).

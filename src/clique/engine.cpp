@@ -280,39 +280,42 @@ double PreparedGraph::cost_bound() const noexcept {
   return bound;
 }
 
-CliqueResult PreparedGraph::dispatch(int k, const CliqueCallback* callback, double& prep) const {
+CliqueResult PreparedGraph::dispatch(int k, const CliqueCallback* callback, QueryLimit* limit,
+                                     double& prep) const {
+  // Artifacts first (their builds are attributed to `prep`), then a leased
+  // scratch carrying the query's limit.
+  const auto lease = [&] {
+    ScratchLease l = memo_->pool.acquire();
+    l->limit = limit;
+    return l;
+  };
   switch (opts_.algorithm) {
     case Algorithm::C3List: {
       const Digraph& d = dag(prep);
       const EdgeCommunities& c = communities(prep);
-      const ScratchLease lease = memo_->pool.acquire();
-      return c3list_search(d, c, k, callback, opts_, *lease);
+      return c3list_search(d, c, k, callback, opts_, *lease());
     }
     case Algorithm::C3ListCD: {
       const EdgeOrderResult& order = edge_order(prep);
-      const ScratchLease lease = memo_->pool.acquire();
-      return c3list_cd_search(*g_, order, k, callback, opts_, *lease);
+      return c3list_cd_search(*g_, order, k, callback, opts_, *lease());
     }
     case Algorithm::Hybrid: {
       const Digraph& d = dag(prep);
-      const ScratchLease lease = memo_->pool.acquire();
-      return hybrid_search(d, k, callback, opts_, *lease);
+      return hybrid_search(d, k, callback, opts_, *lease());
     }
     case Algorithm::KCList: {
       const Digraph& d = dag(prep);
-      const ScratchLease lease = memo_->pool.acquire();
-      return kclist_search(d, k, callback, opts_, *lease);
+      return kclist_search(d, k, callback, opts_, *lease());
     }
     case Algorithm::ArbCount: {
       const Digraph& d = dag(prep);
-      const ScratchLease lease = memo_->pool.acquire();
-      return arbcount_search(d, k, callback, opts_, *lease);
+      return arbcount_search(d, k, callback, opts_, *lease());
     }
     case Algorithm::BruteForce: {
       CliqueResult r;
       WallTimer timer;
-      r.count = callback != nullptr ? brute_force_list(*g_, k, *callback)
-                                    : brute_force_count(*g_, k);
+      r.count = callback != nullptr ? brute_force_list(*g_, k, *callback, limit)
+                                    : brute_force_count(*g_, k, limit);
       r.stats.cliques = r.count;
       r.stats.search_seconds = timer.seconds();
       return r;
@@ -321,94 +324,28 @@ CliqueResult PreparedGraph::dispatch(int k, const CliqueCallback* callback, doub
   throw std::invalid_argument("PreparedGraph: unknown algorithm");
 }
 
-CliqueResult PreparedGraph::execute(int k, const CliqueCallback* callback) const {
+CliqueResult PreparedGraph::execute(int k, const CliqueCallback* callback,
+                                    QueryLimit* limit) const {
   double prep = 0.0;
   CliqueResult result;
-  if (!trivial_k(*g_, k, callback, result)) result = dispatch(k, callback, prep);
+  if (!trivial_k(*g_, k, callback, result)) result = dispatch(k, callback, limit, prep);
   // Only preparation performed during *this* query; 0 on reuse or when
   // another query built the artifacts while we waited.
   result.stats.preprocess_seconds = prep;
   return result;
 }
 
-/// Budget / cancel-token polling for one run(). expired() is called from
-/// listing callbacks (any worker — everything it touches is atomic or
-/// read-only) and between a Spectrum's k values / a MaxClique's probes; once
-/// it observes expiry the `tripped` latch stays set so the answer can be
-/// marked truncated. Inactive control (no budget, no token) costs one branch
-/// per poll.
-struct PreparedGraph::QueryControl {
-  const std::atomic<bool>* cancel = nullptr;
-  double budget = 0.0;
-  WallTimer timer;  // started when run() starts
-  std::atomic<bool> tripped{false};
-
-  [[nodiscard]] bool active() const noexcept { return cancel != nullptr || budget > 0.0; }
-
-  /// Emission-frequency poll: the cancel token is checked every call (one
-  /// relaxed load), the budget clock only every 256th call per thread — so
-  /// counting through the listing path costs ~an atomic load per clique,
-  /// not a clock read.
-  [[nodiscard]] bool expired() noexcept {
-    if (!active()) return false;
-    if (tripped.load(std::memory_order_relaxed)) return true;
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      tripped.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    if (budget > 0.0) {
-      thread_local unsigned stride = 0;
-      if ((++stride & 0xFFu) == 0 && timer.seconds() > budget) {
-        tripped.store(true, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Accumulation poll for the per-vertex/per-edge tally loops, where every
-  /// emission does O(k)..O(k^2) atomic work and a thread may see fewer than
-  /// 256 emissions in a long search — expired()'s per-thread stride would
-  /// then never read the clock and a budget could sail past mid-k. This one
-  /// strides on a query-wide counter instead: the clock is read on the very
-  /// first emission and every 64th after that, regardless of how the
-  /// emissions spread across workers.
-  [[nodiscard]] bool expired_accum() noexcept {
-    if (!active()) return false;
-    if ((accum_polls.fetch_add(1, std::memory_order_relaxed) & 0x3Fu) == 0) {
-      return expired_now();
-    }
-    return expired();
-  }
-
-  std::atomic<std::uint64_t> accum_polls{0};
-
-  /// Boundary poll (between a spectrum's k values, a max-clique's probes):
-  /// always reads the clock, so coarse-grained budget checks fire promptly.
-  [[nodiscard]] bool expired_now() noexcept {
-    if (!active()) return false;
-    if (tripped.load(std::memory_order_relaxed)) return true;
-    if ((cancel != nullptr && cancel->load(std::memory_order_relaxed)) ||
-        (budget > 0.0 && timer.seconds() > budget)) {
-      tripped.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool was_tripped() const noexcept {
-    return tripped.load(std::memory_order_relaxed);
-  }
-};
-
 Answer PreparedGraph::run(const Query& query) const {
   // The per-query worker cap applies to this thread's parallel loops only —
   // the process-global cap is never touched, so concurrent queries with
   // different caps cannot race (see parallel.hpp WorkerCapScope).
   const WorkerCapScope cap(query.opts.max_workers);
-  QueryControl control;
-  control.cancel = query.opts.cancel.get();
-  control.budget = query.opts.budget_seconds;
+  // Budget and cancel token ride the search's own stop flag: the searches
+  // poll the limit per top-level task (token) and per recursion on a clock
+  // stride, so every kind searches exactly as it would unlimited — Count and
+  // Spectrum on the pure counting path — until the limit trips.
+  QueryLimit limit(query.opts.cancel.get(), query.opts.budget_seconds);
+  QueryLimit* const armed = limit.armed() ? &limit : nullptr;
 
   Answer answer;
   answer.kind = query.kind;
@@ -417,40 +354,31 @@ Answer PreparedGraph::run(const Query& query) const {
 
   switch (query.kind) {
     case QueryKind::Count: {
-      CliqueResult r;
-      if (!control.active()) {
-        r = execute(query.k, nullptr);  // pure counting mode, no callback cost
-      } else {
-        const CliqueCallback counter = [&](std::span<const node_t>) {
-          return !control.expired();
-        };
-        r = execute(query.k, &counter);
-      }
+      const CliqueResult r = execute(query.k, nullptr, armed);
       answer.count = r.count;
       answer.stats = r.stats;
-      answer.truncated = control.was_tripped();
+      answer.truncated = limit.was_tripped();
       break;
     }
     case QueryKind::List: {
       std::mutex guard;
       bool excess = false;  // a clique beyond the limit was actually seen
-      const count_t limit = query.opts.result_limit;
+      const count_t max_cliques = query.opts.result_limit;
       const CliqueCallback collect = [&](std::span<const node_t> clique) {
-        if (control.expired()) return false;
         const std::lock_guard<std::mutex> lock(guard);
-        if (limit > 0 && answer.cliques.size() >= static_cast<std::size_t>(limit)) {
+        if (max_cliques > 0 && answer.cliques.size() >= static_cast<std::size_t>(max_cliques)) {
           // Only an over-limit emission proves the listing is incomplete — a
-          // graph with exactly `limit` cliques finishes untruncated.
+          // graph with exactly `max_cliques` cliques finishes untruncated.
           excess = true;
           return false;
         }
         answer.cliques.emplace_back(clique.begin(), clique.end());
         return true;
       };
-      const CliqueResult r = execute(query.k, &collect);
+      const CliqueResult r = execute(query.k, &collect, armed);
       answer.stats = r.stats;
       answer.count = static_cast<count_t>(answer.cliques.size());
-      answer.truncated = control.was_tripped() || excess;
+      answer.truncated = limit.was_tripped() || excess;
       break;
     }
     case QueryKind::HasClique:
@@ -461,40 +389,37 @@ Answer PreparedGraph::run(const Query& query) const {
       std::optional<std::vector<node_t>> witness;
       const bool want = query.kind == QueryKind::FindClique && query.opts.want_witness;
       const CliqueCallback stop_at_first = [&](std::span<const node_t> clique) {
-        if (control.expired()) return false;
         const std::lock_guard<std::mutex> lock(guard);
         found = true;
         if (want && !witness.has_value()) witness.emplace(clique.begin(), clique.end());
         return false;  // stop the enumeration
       };
-      const CliqueResult r = execute(query.k, &stop_at_first);
+      const CliqueResult r = execute(query.k, &stop_at_first, armed);
       answer.stats = r.stats;
       answer.found = found;
       if (witness.has_value()) answer.witness = std::move(*witness);
       // An aborted fruitless probe proves nothing; a found witness stands.
-      answer.truncated = !found && control.was_tripped();
+      answer.truncated = !found && limit.was_tripped();
       break;
     }
     case QueryKind::PerVertexCounts: {
       std::vector<std::atomic<count_t>> acc(g_->num_nodes());
       const CliqueCallback tally = [&](std::span<const node_t> clique) {
-        if (control.expired_accum()) return false;
         for (const node_t v : clique) acc[v].fetch_add(1, std::memory_order_relaxed);
         return true;
       };
-      const CliqueResult r = execute(query.k, &tally);
+      const CliqueResult r = execute(query.k, &tally, armed);
       answer.stats = r.stats;
       answer.per_counts.resize(g_->num_nodes());
       for (node_t v = 0; v < g_->num_nodes(); ++v) {
         answer.per_counts[v] = acc[v].load(std::memory_order_relaxed);
       }
-      answer.truncated = control.was_tripped();
+      answer.truncated = limit.was_tripped();
       break;
     }
     case QueryKind::PerEdgeCounts: {
       std::vector<std::atomic<count_t>> acc(g_->num_edges());
       const CliqueCallback tally = [&](std::span<const node_t> clique) {
-        if (control.expired_accum()) return false;
         for (std::size_t i = 0; i < clique.size(); ++i) {
           for (std::size_t j = i + 1; j < clique.size(); ++j) {
             const edge_t e = g_->edge_id(clique[i], clique[j]);
@@ -503,13 +428,13 @@ Answer PreparedGraph::run(const Query& query) const {
         }
         return true;
       };
-      const CliqueResult r = execute(query.k, &tally);
+      const CliqueResult r = execute(query.k, &tally, armed);
       answer.stats = r.stats;
       answer.per_counts.resize(g_->num_edges());
       for (edge_t e = 0; e < g_->num_edges(); ++e) {
         answer.per_counts[e] = acc[e].load(std::memory_order_relaxed);
       }
-      answer.truncated = control.was_tripped();
+      answer.truncated = limit.was_tripped();
       break;
     }
     case QueryKind::Spectrum: {
@@ -528,20 +453,16 @@ Answer PreparedGraph::run(const Query& query) const {
 
         double prep = 0.0;
         const auto ub = static_cast<int>(upper_bound(prep));
-        const int limit = query.kmax > 0 ? std::min(query.kmax, ub) : ub;
-        const CliqueCallback counter = [&](std::span<const node_t>) {
-          return !control.expired();
-        };
-        for (int k = 3; k <= limit; ++k) {
-          if (control.expired_now()) {
+        const int kmax = query.kmax > 0 ? std::min(query.kmax, ub) : ub;
+        for (int k = 3; k <= kmax; ++k) {
+          if (limit.expired()) {
             answer.truncated = true;
             break;
           }
-          // Under active control, count through the listing path so the
-          // budget can cut inside a k; a cut k's partial count is dropped.
-          const CliqueResult r = dispatch(k, control.active() ? &counter : nullptr, prep);
+          // The limit can cut inside a k; a cut k's partial count is dropped.
+          const CliqueResult r = dispatch(k, nullptr, armed, prep);
           out.search_seconds += r.stats.search_seconds;
-          if (control.was_tripped()) {
+          if (limit.was_tripped()) {
             answer.truncated = true;
             break;
           }
@@ -558,7 +479,7 @@ Answer PreparedGraph::run(const Query& query) const {
       break;
     }
     case QueryKind::MaxClique:
-      run_max_clique(query, answer, control);
+      run_max_clique(query, answer, limit);
       break;
   }
   answer.seconds = timer.seconds();
@@ -634,8 +555,7 @@ Answer PreparedGraph::run(const Query& query, obs::TraceContext* trace) const {
   return answer;
 }
 
-void PreparedGraph::run_max_clique(const Query& query, Answer& answer,
-                                   QueryControl& control) const {
+void PreparedGraph::run_max_clique(const Query& query, Answer& answer, QueryLimit& limit) const {
   if (g_->num_nodes() == 0) return;  // omega 0, no witness
   if (g_->num_edges() == 0) {
     answer.omega = 1;
@@ -654,13 +574,12 @@ void PreparedGraph::run_max_clique(const Query& query, Answer& answer,
     bool found = false;
     std::optional<std::vector<node_t>> witness;
     const CliqueCallback stop_at_first = [&](std::span<const node_t> clique) {
-      if (control.expired()) return false;
       const std::lock_guard<std::mutex> lock(guard);
       found = true;
       if (want && !witness.has_value()) witness.emplace(clique.begin(), clique.end());
       return false;
     };
-    (void)execute(static_cast<int>(size), &stop_at_first);
+    (void)execute(static_cast<int>(size), &stop_at_first, limit.armed() ? &limit : nullptr);
     if (!found) return std::nullopt;
     if (!want) return std::vector<node_t>{};  // marker: found, witness unwanted
     return witness;
@@ -669,7 +588,7 @@ void PreparedGraph::run_max_clique(const Query& query, Answer& answer,
   node_t lo = 2;  // always feasible: the graph has an edge
   node_t hi = clique_number_upper_bound();
   while (lo < hi) {
-    if (control.expired_now()) {
+    if (limit.expired()) {
       answer.truncated = true;
       break;
     }
@@ -679,7 +598,7 @@ void PreparedGraph::run_max_clique(const Query& query, Answer& answer,
       lo = mid;
       best = std::move(witness);
     } else {
-      if (control.was_tripped()) {
+      if (limit.was_tripped()) {
         // The probe was cut short before finding anything: "no mid-clique"
         // is unproven, so stop with the best verified bound.
         answer.truncated = true;
@@ -699,7 +618,7 @@ void PreparedGraph::run_max_clique(const Query& query, Answer& answer,
     } else if (!answer.truncated) {
       if (auto witness = probe(lo); witness.has_value()) {
         answer.witness = std::move(*witness);
-      } else if (control.was_tripped()) {
+      } else if (limit.was_tripped()) {
         // The final witness search itself was cut before finding anything.
         answer.truncated = true;
       }
@@ -725,7 +644,7 @@ CliqueResult PreparedGraph::list(int k, const CliqueCallback& callback) const {
   // The callback primitive run()'s enumeration kinds are built on — the one
   // named method that is not a Query wrapper (a std::function cannot
   // round-trip through the Query value type).
-  return execute(k, &callback);
+  return execute(k, &callback, nullptr);
 }
 
 CliqueSpectrum PreparedGraph::spectrum(int kmax) const {

@@ -5,13 +5,13 @@
 // the total vertex order and the oriented DAG (Section 4), the sorted edge
 // communities (Algorithm 1, line 1), or the community-degeneracy edge order
 // (Algorithm 3) — and a k-dependent search half. The one-shot entry points
-// recompute the prepare half on every call; a PreparedGraph computes each
-// artifact at most once (lazily, on first use) and serves any number of
-// queries from it: counts and listings for any k, the full clique spectrum,
-// per-vertex/per-edge local counts, and maximum-clique searches. It also
-// owns a ScratchPool of per-query state (local bitset subgraphs, recursion
-// stacks, label arrays), so repeated queries reuse warm buffers instead of
-// reallocating.
+// (count_cliques / list_cliques, api.hpp) recompute the prepare half on
+// every call; a PreparedGraph computes each artifact at most once (lazily,
+// on first use) and serves any number of queries from it: counts and
+// listings for any k, the full clique spectrum, per-vertex/per-edge local
+// counts, and maximum-clique searches. It also owns a ScratchPool of
+// per-query state (local bitset subgraphs, recursion stacks, label arrays),
+// so repeated queries reuse warm buffers instead of reallocating.
 //
 // Contract (see DESIGN.md Section 2):
 //  * The Graph must outlive the PreparedGraph; the engine keeps a reference.
@@ -181,14 +181,15 @@ class PreparedGraph {
   // queries on other threads keep a stable address.
   struct Memo;
 
-  struct QueryControl;  // budget/cancel polling shared by run()'s kinds
-
   // The `prep` out-parameters accumulate seconds of preparation performed by
   // *this call* — the building query; threads that merely wait on the latch
   // add nothing. execute() forwards the sum into stats.preprocess_seconds.
-  [[nodiscard]] CliqueResult execute(int k, const CliqueCallback* callback) const;
-  [[nodiscard]] CliqueResult dispatch(int k, const CliqueCallback* callback, double& prep) const;
-  void run_max_clique(const Query& query, Answer& answer, QueryControl& control) const;
+  // `limit` is the query's armed budget / cancel limit, or null.
+  [[nodiscard]] CliqueResult execute(int k, const CliqueCallback* callback,
+                                     QueryLimit* limit) const;
+  [[nodiscard]] CliqueResult dispatch(int k, const CliqueCallback* callback, QueryLimit* limit,
+                                      double& prep) const;
+  void run_max_clique(const Query& query, Answer& answer, QueryLimit& limit) const;
   [[nodiscard]] const Digraph& dag(double& prep) const;
   [[nodiscard]] const EdgeCommunities& communities(double& prep) const;
   [[nodiscard]] const EdgeOrderResult& edge_order(double& prep) const;

@@ -1,10 +1,8 @@
 #include "clique/hybrid.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
 #include "parallel/parallel.hpp"
@@ -89,13 +87,12 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(callback);
 
   parallel_for_dynamic(
       0, n,
       [&](std::size_t v) {
-        if (stop.load(std::memory_order_relaxed)) return;
+        if (scratch.halted()) return;
         const auto members = dag.out_neighbors(static_cast<node_t>(v));
         if (static_cast<int>(members.size()) < k - 1) return;
         CliqueScratch& w = scratch.local();
@@ -122,8 +119,6 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           w.member_orig.resize(members.size());
           for (int r = 0; r < sz; ++r) {
@@ -144,19 +139,6 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
   scratch.merge_into(result);
   result.stats.search_seconds = search_timer.seconds();
   return result;
-}
-
-CliqueResult hybrid_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::Hybrid;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult hybrid_list(const Graph& g, int k, const CliqueCallback& callback,
-                         const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::Hybrid;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

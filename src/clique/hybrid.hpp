@@ -18,13 +18,6 @@
 
 namespace c3 {
 
-/// Counts all k-cliques with the hybrid scheme.
-[[nodiscard]] CliqueResult hybrid_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant.
-[[nodiscard]] CliqueResult hybrid_list(const Graph& g, int k, const CliqueCallback& callback,
-                                       const CliqueOptions& opts = {});
-
 /// Search half on a prepared (approximate-order) orientation: requires
 /// k >= 3; computes the exact inner order per out-neighborhood. `callback`
 /// may be null (counting). `scratch` is this query's leased state (see

@@ -1,11 +1,9 @@
 #include "clique/kclist.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <vector>
 
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
 #include "parallel/parallel.hpp"
@@ -89,18 +87,15 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(callback);
   Env env{&dag, callback};
 
   try {
     parallel_for_dynamic(
         0, n,
         [&](std::size_t u) {
-          if (stop.load(std::memory_order_relaxed)) return;
+          if (scratch.halted()) return;
           CliqueScratch& w = scratch.local();
-          w.ctx.callback = callback;
-          w.ctx.stop = callback != nullptr ? &stop : nullptr;
           if (w.label.size() < static_cast<std::size_t>(n)) w.label.assign(n, 0);
           if (w.levels.size() < static_cast<std::size_t>(k))
             w.levels.resize(static_cast<std::size_t>(k));
@@ -149,19 +144,6 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
   scratch.merge_into(result);
   result.stats.search_seconds = search_timer.seconds();
   return result;
-}
-
-CliqueResult kclist_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::KCList;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult kclist_list(const Graph& g, int k, const CliqueCallback& callback,
-                         const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::KCList;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

@@ -20,14 +20,6 @@
 
 namespace c3 {
 
-/// Counts all k-cliques with kcList. Honors opts.vertex_order (exact
-/// degeneracy by default, matching the original).
-[[nodiscard]] CliqueResult kclist_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant.
-[[nodiscard]] CliqueResult kclist_list(const Graph& g, int k, const CliqueCallback& callback,
-                                       const CliqueOptions& opts = {});
-
 /// Search half on a prepared orientation: requires k >= 3. `callback` may be
 /// null (counting). `scratch` is this query's leased state (see
 /// c3list_search).

@@ -1,7 +1,6 @@
 #include "clique/local_graph.hpp"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace c3 {
 
@@ -49,16 +48,8 @@ void build_local_graph(const Digraph& dag, std::span<const node_t> members, Loca
 
 namespace {
 
-int initial_dense_min() noexcept {
-  if (const char* env = std::getenv("C3_DENSE_MIN"); env != nullptr && env[0] != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<int>(v);
-  }
-  return 32;
-}
-
 std::atomic<int>& dense_min() noexcept {
-  static std::atomic<int> value{initial_dense_min()};
+  static std::atomic<int> value{32};
   return value;
 }
 

@@ -98,8 +98,7 @@ void build_local_graph(const Digraph& dag, std::span<const node_t> members, Loca
 /// label recursion stays cheaper.
 [[nodiscard]] bool use_dense_subproblem(int nvertices, std::int64_t arcs_upper) noexcept;
 
-/// The vertex-count floor for use_dense_subproblem. Default 32, overridable
-/// with the C3_DENSE_MIN environment variable at startup; settable at
+/// The vertex-count floor for use_dense_subproblem. Default 32; settable at
 /// runtime so tests can force the dense (1) or CSR (INT_MAX) path.
 void set_dense_subproblem_min_vertices(int n) noexcept;
 [[nodiscard]] int dense_subproblem_min_vertices() noexcept;

@@ -14,10 +14,13 @@
 //   * max_workers       — caps the query's internal parallelism without
 //                         touching the process-global worker cap
 //                         (parallel.hpp WorkerCapScope);
-//   * budget_seconds /  — best-effort early termination: enumeration kinds
-//     cancel               stop at the next poll point, Spectrum between
-//                          k values, MaxClique between probes; a cut-short
-//                          Answer has `truncated` set;
+//   * budget_seconds /  — best-effort early termination through the
+//     cancel               search's own stop flag: the token is checked
+//                          before every top-level task and the clock on a
+//                          per-worker stride of the recursion's polls,
+//                          plus between a Spectrum's k values and a
+//                          MaxClique's probes; a cut-short Answer has
+//                          `truncated` set;
 //   * result_limit      — List stops after this many materialized cliques;
 //   * want_witness      — MaxClique/FindClique skip materializing a witness.
 //
@@ -68,11 +71,12 @@ struct QueryOptions {
   /// never race on the global worker count.
   int max_workers = 0;
   /// Best-effort wall-clock budget in seconds (0 = none). An expired query
-  /// returns what it found so far with Answer::truncated set. Cost note: an
-  /// active budget or cancel token makes Count/Spectrum count through the
-  /// listing path (so the control can cut mid-enumeration), bypassing the
-  /// algorithms' no-callback counting fast paths — attach one when early
-  /// cut-off matters more than peak counting throughput.
+  /// returns what it found so far with Answer::truncated set. The clock is
+  /// read inside the search — on each worker's first poll and every 1024th
+  /// after it (recursion entries and emissions) — and between a Spectrum's
+  /// k values and a MaxClique's probes, so a search that emits nothing is
+  /// still cut. Every kind searches exactly as it would without a budget
+  /// (Count and Spectrum on the counting path) until the budget expires.
   double budget_seconds = 0.0;
   /// List only: stop after this many cliques (0 = all). The answer is
   /// marked truncated only when a clique beyond the limit actually exists —
@@ -83,7 +87,8 @@ struct QueryOptions {
   /// FindClique degenerates to HasClique.
   bool want_witness = true;
   /// External stop token (not representable in text). A query observes a
-  /// store of `true` at its next poll point and returns truncated.
+  /// store of `true` before its next top-level task or at its next strided
+  /// poll, and returns truncated.
   std::shared_ptr<std::atomic<bool>> cancel;
 };
 

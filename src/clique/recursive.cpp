@@ -30,6 +30,13 @@ void SearchContext::ensure_capacity(int gamma, int depth, int words) {
   mask_pool_.assign(depth_ * mask_stride_, 0);
 }
 
+bool SearchContext::limit_expired() noexcept {
+  limit_countdown = kLimitStride;
+  if (!limit->expired()) return false;
+  stop->store(true, std::memory_order_relaxed);
+  return true;
+}
+
 count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth) {
   return search_build(bits::active_kernel_backend()).cliques_all(ctx, c, triangle_growth);
 }

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,6 +37,50 @@
 #include "util/bitkernels.hpp"
 
 namespace c3 {
+
+/// One query's wall-clock budget and cancel token, built per query by
+/// PreparedGraph::run. expired() latches: once it has seen the token set or
+/// the deadline passed, `tripped` stays set, so the answer can be marked
+/// truncated. Safe to poll from any worker.
+struct QueryLimit {
+  using Clock = std::chrono::steady_clock;
+
+  const std::atomic<bool>* cancel = nullptr;
+  Clock::time_point deadline = Clock::time_point::max();  ///< max = no budget
+  std::atomic<bool> tripped{false};
+
+  /// A budget of 0, NaN, or 1e9 s (~32 years) and more sets no deadline, so
+  /// the deadline arithmetic cannot overflow the clock's range.
+  QueryLimit(const std::atomic<bool>* token, double budget_seconds) noexcept : cancel(token) {
+    if (budget_seconds > 0.0 && budget_seconds < 1e9) {
+      deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(budget_seconds));
+    }
+  }
+
+  [[nodiscard]] bool armed() const noexcept {
+    return cancel != nullptr || deadline != Clock::time_point::max();
+  }
+
+  /// The token alone, no clock read: the top-level loops' once-per-task check.
+  [[nodiscard]] bool cancelled() noexcept {
+    if (cancel == nullptr || !cancel->load(std::memory_order_relaxed)) return false;
+    tripped.store(true, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// The token, then the deadline.
+  [[nodiscard]] bool expired() noexcept {
+    if (tripped.load(std::memory_order_relaxed) || cancelled()) return true;
+    if (deadline == Clock::time_point::max() || Clock::now() < deadline) return false;
+    tripped.store(true, std::memory_order_relaxed);
+    return true;
+  }
+
+  [[nodiscard]] bool was_tripped() const noexcept {
+    return tripped.load(std::memory_order_relaxed);
+  }
+};
 
 /// Per-worker state for one sequence of recursive searches: the local graph
 /// being searched, instrumentation counters, optional listing support, and
@@ -50,19 +95,35 @@ struct SearchContext {
   const CliqueCallback* callback = nullptr;
   std::vector<node_t> clique_stack;
   const node_t* member_to_orig = nullptr;
-  bool stopped = false;  ///< callback requested early termination
+  bool stopped = false;  ///< this worker has seen the query stop
 
   /// Cross-worker early-stop flag, shared by all contexts of one run. When a
-  /// callback returns false anywhere, every other worker observes it at its
-  /// next poll point (each recursion entry and each emission) instead of
-  /// finishing its in-flight top-level task.
+  /// callback returns false or the limit expires anywhere, every other
+  /// worker observes it at its next poll point (each recursion entry and
+  /// each emission) instead of finishing its in-flight top-level task.
+  /// Null for a plain count, which has nothing that could raise it.
   std::atomic<bool>* stop = nullptr;
 
-  /// Refreshes `stopped` from the shared flag; returns the merged state.
+  /// The query's budget / cancel limit when one is armed (requires `stop`).
+  /// poll_stop asks it on every kLimitStride-th poll, the first included.
+  QueryLimit* limit = nullptr;
+  unsigned limit_countdown = 1;
+  static constexpr unsigned kLimitStride = 1024;
+
+  /// Refreshes `stopped` from the shared flag and, on the limit's stride,
+  /// from the limit (raising the flag on expiry); returns the merged state.
   [[nodiscard]] bool poll_stop() noexcept {
-    if (!stopped && stop != nullptr && stop->load(std::memory_order_relaxed)) stopped = true;
+    if (!stopped && stop != nullptr &&
+        (stop->load(std::memory_order_relaxed) ||
+         (limit != nullptr && --limit_countdown == 0 && limit_expired()))) {
+      stopped = true;
+    }
     return stopped;
   }
+
+  /// The stride's slow step, kept out of the recursions' hot loops: restarts
+  /// the countdown, asks the limit, and raises `stop` when it has expired.
+  [[nodiscard]] bool limit_expired() noexcept;
 
   /// Records a callback's false return locally and broadcasts it.
   void request_stop() noexcept {

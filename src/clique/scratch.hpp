@@ -34,8 +34,8 @@ struct LocalDegeneracyScratch {
 };
 
 /// One worker's reusable state for a sequence of clique searches; handed to
-/// the *_search functions inside a QueryScratch. reset_query() clears the
-/// per-query accumulators while keeping the capacity of every buffer.
+/// the *_search functions inside a QueryScratch, whose reset_query() clears
+/// the per-query accumulators while keeping the capacity of every buffer.
 struct CliqueScratch {
   // Shared by the community-centric searches (c3List, c3List-CD, hybrid).
   LocalGraph lg;
@@ -58,20 +58,11 @@ struct CliqueScratch {
   std::vector<node_t> clique_stack;
 
   // Per-query accumulators. Early-stop state lives in ctx (stopped / stop /
-  // callback) for every algorithm — kcList and ArbCount use only those
-  // fields of their SearchContext, so the cross-worker stop logic exists
-  // exactly once (SearchContext::poll_stop / request_stop).
+  // limit / callback) for every algorithm — kcList uses only those fields
+  // of its SearchContext on its CSR path, so the cross-worker stop logic
+  // exists exactly once (SearchContext::poll_stop / request_stop).
   LocalCounters ctr;
   count_t count = 0;
-
-  /// Resets the per-query accumulators; all buffers keep their capacity.
-  void reset_query() noexcept {
-    ctr = {};
-    count = 0;
-    ctx.stopped = false;
-    ctx.stop = nullptr;
-    ctx.callback = nullptr;
-  }
 };
 
 /// One query's complete mutable state: a warm CliqueScratch per worker and
@@ -83,6 +74,11 @@ struct QueryScratch {
   PerWorker<CliqueScratch> workers;
   std::atomic<bool> stop{false};
 
+  /// The query's budget / cancel limit, or null when it has neither.
+  /// Installed by the engine before each search; reset_query arms every
+  /// worker's context with it.
+  QueryLimit* limit = nullptr;
+
   /// Set by a search half whose traversal unwound via an exception (a
   /// throwing listing callback): backtracking was skipped, so invariants
   /// like kcList's all-zeros label array may be broken in the returned
@@ -92,18 +88,37 @@ struct QueryScratch {
 
   /// Prepares every slot for a new query: rebuilds the slot array if the
   /// worker pool grew past it (so local() never clamps), resets the
-  /// accumulators, clears the stop flag, repairs exception-dirtied labels.
-  /// Warm buffers survive.
-  void reset_query() {
+  /// accumulators, clears the stop flag, repairs exception-dirtied labels,
+  /// and arms each worker's context with `callback`, the stop flag and the
+  /// limit. The flag is wired only when something can raise it — a listing
+  /// callback or an armed limit — so a plain count never polls it. Warm
+  /// buffers survive.
+  void reset_query(const CliqueCallback* callback) {
     if (workers.size() < static_cast<std::size_t>(num_workers()))
       workers = PerWorker<CliqueScratch>();
     for (std::size_t i = 0; i < workers.size(); ++i) {
       CliqueScratch& w = workers.slot(i);
-      w.reset_query();
+      w.ctr = {};
+      w.count = 0;
+      w.ctx.stopped = false;
+      w.ctx.callback = callback;
+      w.ctx.stop = callback != nullptr || limit != nullptr ? &stop : nullptr;
+      w.ctx.limit = limit;
+      w.ctx.limit_countdown = 1;
       if (labels_dirty) std::fill(w.label.begin(), w.label.end(), 0);
     }
     labels_dirty = false;
     stop.store(false, std::memory_order_relaxed);
+  }
+
+  /// The top-level loops' once-per-task check: the shared stop flag, plus
+  /// the cancel token when a limit is armed (raising the flag when it is
+  /// set). The deadline is left to the recursions' strided polls.
+  [[nodiscard]] bool halted() noexcept {
+    if (stop.load(std::memory_order_relaxed)) return true;
+    if (limit == nullptr || !limit->cancelled()) return false;
+    stop.store(true, std::memory_order_relaxed);
+    return true;
   }
 
   /// The calling worker's scratch.

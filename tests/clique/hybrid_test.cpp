@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/combinatorics.hpp"
 #include "graph/gen/generators.hpp"
@@ -11,19 +12,25 @@
 namespace c3 {
 namespace {
 
+/// `o` with the algorithm under test selected.
+CliqueOptions hybrid_opts(CliqueOptions o = {}) {
+  o.algorithm = Algorithm::Hybrid;
+  return o;
+}
+
 TEST(Hybrid, CompleteGraphClosedForm) {
   const Graph g = complete_graph(11);
   for (int k = 3; k <= 11; ++k) {
-    EXPECT_EQ(hybrid_count(g, k).count, binomial(11, k)) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, hybrid_opts()).count, binomial(11, k)) << "k=" << k;
   }
-  EXPECT_EQ(hybrid_count(g, 12).count, 0u);
+  EXPECT_EQ(count_cliques(g, 12, hybrid_opts()).count, 0u);
 }
 
 TEST(Hybrid, MatchesBruteForce) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     const Graph g = erdos_renyi(45, 330, seed);
     for (int k = 3; k <= 7; ++k) {
-      EXPECT_EQ(hybrid_count(g, k).count, brute_force_count(g, k))
+      EXPECT_EQ(count_cliques(g, k, hybrid_opts()).count, brute_force_count(g, k))
           << "seed " << seed << " k " << k;
     }
   }
@@ -34,7 +41,7 @@ TEST(Hybrid, OddAndEvenKBothWork) {
   // of the recursion (pair-growth plus the c=1/c=2 leaves).
   const Graph g = social_like(150, 1100, 0.45, 7);
   for (int k = 3; k <= 8; ++k) {
-    EXPECT_EQ(hybrid_count(g, k).count, brute_force_count(g, k)) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, hybrid_opts()).count, brute_force_count(g, k)) << "k=" << k;
   }
 }
 
@@ -43,7 +50,7 @@ TEST(Hybrid, ListingMatchesCountingAndIsValid) {
   for (int k = 3; k <= 6; ++k) {
     const count_t expect = brute_force_count(g, k);
     testing::CliqueCollector collector(g, k);
-    const CliqueResult r = hybrid_list(g, k, collector.callback());
+    const CliqueResult r = list_cliques(g, k, collector.callback(), hybrid_opts());
     EXPECT_EQ(r.count, expect) << "k=" << k;
     collector.expect_valid(expect);
   }
@@ -51,14 +58,14 @@ TEST(Hybrid, ListingMatchesCountingAndIsValid) {
 
 TEST(Hybrid, TrivialSizes) {
   const Graph g = erdos_renyi(60, 180, 23);
-  EXPECT_EQ(hybrid_count(g, 1).count, 60u);
-  EXPECT_EQ(hybrid_count(g, 2).count, 180u);
-  EXPECT_EQ(hybrid_count(Graph{}, 5).count, 0u);
+  EXPECT_EQ(count_cliques(g, 1, hybrid_opts()).count, 60u);
+  EXPECT_EQ(count_cliques(g, 2, hybrid_opts()).count, 180u);
+  EXPECT_EQ(count_cliques(Graph{}, 5, hybrid_opts()).count, 0u);
 }
 
 TEST(Hybrid, StatsReportApproxOrderQuality) {
   const Graph g = social_like(400, 3000, 0.4, 29);
-  const CliqueResult r = hybrid_count(g, 5);
+  const CliqueResult r = count_cliques(g, 5, hybrid_opts());
   EXPECT_GT(r.stats.order_quality, 0u);
   EXPECT_EQ(r.stats.top_level_tasks, g.num_nodes());
 }

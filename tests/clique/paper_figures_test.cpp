@@ -2,7 +2,7 @@
 // Observations of Section 3).
 #include <gtest/gtest.h>
 
-#include "clique/c3list.hpp"
+#include "clique/api.hpp"
 #include "clique/combinatorics.hpp"
 #include "graph/digraph.hpp"
 #include "graph/gen/generators.hpp"
@@ -38,7 +38,7 @@ TEST(PaperFigures, Figure1EdgeSupportsSixClique) {
     if (w != 0 && w != 1 && g.has_edge(0, w) && g.has_edge(1, w)) common.push_back(w);
   }
   EXPECT_EQ(common, (std::vector<node_t>{2, 3, 4, 5}));
-  EXPECT_EQ(c3list_count(g, 6).count, 1u);
+  EXPECT_EQ(count_cliques(g, 6).count, 1u);
 }
 
 TEST(PaperFigures, Figure2OnlyOneRelevantSupportingEdge) {
@@ -57,8 +57,8 @@ TEST(PaperFigures, Figure3TwoFiveCliquesNoSixClique) {
   const Graph g = figure2_graph();
   CliqueOptions byid;
   byid.vertex_order = VertexOrderKind::ById;  // match the drawn order
-  EXPECT_EQ(c3list_count(g, 6, byid).count, 0u);
-  EXPECT_EQ(c3list_count(g, 5, byid).count, 2u);
+  EXPECT_EQ(count_cliques(g, 6, byid).count, 0u);
+  EXPECT_EQ(count_cliques(g, 5, byid).count, 2u);
 }
 
 TEST(PaperFigures, Figure3RecursionProbesTheV2V5Pair) {
@@ -141,8 +141,8 @@ TEST(PaperFigures, Observation1SupportingEdgeUnique) {
 TEST(PaperFigures, CliqueSizeBounds) {
   // Section 1.1: an s-degenerate graph has no (s+2)-clique; k <= sigma + 2.
   const Graph g = figure2_graph();  // K6 minus one edge: s = 4
-  EXPECT_EQ(c3list_count(g, 6).count, 0u);
-  EXPECT_GT(c3list_count(g, 5).count, 0u);
+  EXPECT_EQ(count_cliques(g, 6).count, 0u);
+  EXPECT_GT(count_cliques(g, 5).count, 0u);
 }
 
 }  // namespace

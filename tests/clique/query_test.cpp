@@ -2,24 +2,29 @@
 // format_query / format_answer), precise parse errors naming the offending
 // token, run(Query) equivalence with every named method across all
 // algorithms, and the per-query resource controls (worker caps, result
-// limits, budgets, cancel tokens).
+// limits, budgets, cancel tokens — including budgets and cancels that cut
+// a search with no emissions).
 #include "clique/query.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "clique/api.hpp"
+#include "clique/combinatorics.hpp"
 #include "clique/engine.hpp"
 #include "graph/gen/generators.hpp"
 #include "parallel/parallel.hpp"
+#include "util/timer.hpp"
 
 namespace c3 {
 namespace {
@@ -456,12 +461,11 @@ TEST(QueryRun, CancelTokenTruncates) {
 }
 
 TEST(QueryRun, BudgetTruncatesPerCountsEvenWithFewEmissions) {
-  // Regression: the per-vertex/per-edge accumulation loops used to poll the
+  // Regression: the per-vertex/per-edge accumulation loops once polled the
   // budget clock only every 256th emission *per thread*, so on a graph with
-  // fewer than 256 cliques per thread the budget never fired at all. The
-  // accumulators now stride-poll a query-wide counter that reads the clock
-  // on the very first emission — an already-expired budget must truncate on
-  // any graph that has at least one clique.
+  // fewer than 256 cliques per thread the budget never fired at all. Each
+  // worker's first poll reads the clock, so an already-expired budget must
+  // truncate on any graph that has at least one clique.
   const Graph g = social_like(200, 1600, 0.5, 3);
   const PreparedGraph engine(g, {});
   engine.prepare();
@@ -487,8 +491,8 @@ TEST(QueryRun, BudgetTruncatesPerCountsEvenWithFewEmissions) {
 }
 
 TEST(QueryRun, CancelTokenCutsPerCountsAccumulation) {
-  // Cancel tokens are polled on every emission (no stride): a pre-tripped
-  // token must truncate per-vertex/per-edge accumulation immediately.
+  // The token is checked before every top-level task: a pre-tripped token
+  // must truncate per-vertex/per-edge accumulation immediately.
   const Graph g = social_like(200, 1600, 0.5, 3);
   const PreparedGraph engine(g, {});
   engine.prepare();
@@ -523,6 +527,113 @@ TEST(QueryRun, BudgetTruncatesSpectrumSafely) {
   const Answer b = engine.run(roomy);
   EXPECT_FALSE(b.truncated);
   EXPECT_EQ(b.spectrum.counts, full.counts);
+}
+
+// --------------------------------------- the limit rides the search's stop flag
+
+std::vector<Algorithm> prepared_algorithms() {
+  return {Algorithm::C3List, Algorithm::C3ListCD, Algorithm::Hybrid, Algorithm::KCList,
+          Algorithm::ArbCount};
+}
+
+TEST(QueryRun, BudgetBoundsAFruitlessSearch) {
+  // The budget must cut a search that emits nothing: ER(400, 40000) has no
+  // 14-clique and at most a handful of 13-cliques, and both searches run for
+  // seconds unbudgeted. Serial (workers=1), so no OpenMP spin-wait under
+  // ctest -j inflates the wall time.
+  const Graph dense = erdos_renyi(400, 40000, 1);
+  // BruteForce gets a smaller instance; its unbudgeted count 13 there still
+  // takes seconds.
+  const Graph brute = erdos_renyi(120, 5000, 1);
+  for (const Algorithm alg : all_algorithms()) {
+    CliqueOptions opts;
+    opts.algorithm = alg;
+    const bool prepared = alg != Algorithm::BruteForce;
+    const PreparedGraph engine(prepared ? dense : brute, opts);
+    engine.prepare();  // preparation is not the search's to bound
+    for (const char* text : {"count 13 budget=0.02 workers=1", "hasclique 14 budget=0.02 workers=1"}) {
+      const Query q = parse_query(text);
+      const WallTimer timer;
+      const Answer a = engine.run(q);
+      EXPECT_LT(timer.seconds(), 0.25) << algorithm_name(alg) << ": " << text;
+      if (q.kind == QueryKind::Count || prepared) {
+        EXPECT_TRUE(a.truncated) << algorithm_name(alg) << ": " << text;
+      }
+      if (q.kind == QueryKind::HasClique && prepared) {
+        EXPECT_FALSE(a.found) << algorithm_name(alg) << ": " << text;
+      }
+    }
+  }
+}
+
+TEST(QueryRun, PreCancelledCountDoesNoSearch) {
+  // The token is checked before every top-level task, so a query cancelled
+  // before it starts never enters the recursion, on the full pool.
+  const Graph g = erdos_renyi(400, 40000, 1);
+  for (const Algorithm alg : prepared_algorithms()) {
+    CliqueOptions opts;
+    opts.algorithm = alg;
+    const PreparedGraph engine(g, opts);
+    engine.prepare();
+    Query q = make(QueryKind::Count, 13);
+    q.opts.cancel = std::make_shared<std::atomic<bool>>(true);
+    const Answer a = engine.run(q);
+    EXPECT_TRUE(a.truncated) << algorithm_name(alg);
+    EXPECT_EQ(a.stats.recursive_calls, 0u) << algorithm_name(alg);
+  }
+}
+
+TEST(QueryRun, UnfiredBudgetKeepsTheCountingPath) {
+  // A budget that never fires changes nothing about how a count searches:
+  // the same count and the same work counters as a plain count, including
+  // kcList's dense subproblems, which only a callback-free count takes.
+  const Graph g = erdos_renyi(120, 5000, 1);
+  for (const Algorithm alg : prepared_algorithms()) {
+    CliqueOptions opts;
+    opts.algorithm = alg;
+    const PreparedGraph engine(g, opts);
+    engine.prepare();
+    const Answer plain = engine.run(parse_query("count 6"));
+    const Answer budgeted = engine.run(parse_query("count 6 budget=3600"));
+    EXPECT_FALSE(budgeted.truncated) << algorithm_name(alg);
+    EXPECT_EQ(budgeted.count, plain.count) << algorithm_name(alg);
+    const CliqueStats& p = plain.stats;
+    const CliqueStats& b = budgeted.stats;
+    EXPECT_EQ(b.top_level_tasks, p.top_level_tasks) << algorithm_name(alg);
+    EXPECT_EQ(b.recursive_calls, p.recursive_calls) << algorithm_name(alg);
+    EXPECT_EQ(b.pairs_probed, p.pairs_probed) << algorithm_name(alg);
+    EXPECT_EQ(b.edges_matched, p.edges_matched) << algorithm_name(alg);
+    EXPECT_EQ(b.intersection_words, p.intersection_words) << algorithm_name(alg);
+    EXPECT_EQ(b.leaf_work, p.leaf_work) << algorithm_name(alg);
+    EXPECT_EQ(b.dense_subproblems, p.dense_subproblems) << algorithm_name(alg);
+    if (alg == Algorithm::KCList) {
+      EXPECT_GT(b.dense_subproblems, 0u);
+    }
+  }
+}
+
+TEST(QueryRun, CrossThreadCancelCutsARunningCount) {
+  // Another thread flips the token while the count runs; the workers see it
+  // at their next top-level task or strided poll and return a truncated
+  // partial count. K_60 has C(60, 13) ~ 5.6e12 13-cliques, far more than any
+  // test could count, so the flip always lands mid-search.
+  const Graph g = complete_graph(60);
+  for (const Algorithm alg : prepared_algorithms()) {
+    CliqueOptions opts;
+    opts.algorithm = alg;
+    const PreparedGraph engine(g, opts);
+    engine.prepare();
+    Query q = make(QueryKind::Count, 13);
+    q.opts.cancel = std::make_shared<std::atomic<bool>>(false);
+    std::thread canceller([token = q.opts.cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      token->store(true, std::memory_order_relaxed);
+    });
+    const Answer a = engine.run(q);
+    canceller.join();
+    EXPECT_TRUE(a.truncated) << algorithm_name(alg);
+    EXPECT_LE(a.count, binomial(60, 13)) << algorithm_name(alg);
+  }
 }
 
 TEST(QueryRun, MaxCliqueWithoutWitness) {
