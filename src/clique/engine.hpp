@@ -10,7 +10,7 @@
 // on first use) and serves any number of queries from it: counts and
 // listings for any k, the full clique spectrum, per-vertex/per-edge local
 // counts, and maximum-clique searches. It also owns a ScratchPool of
-// per-query state (local bitset subgraphs, recursion stacks, label arrays),
+// per-query state (local bitset and CSR subgraphs, recursion stacks),
 // so repeated queries reuse warm buffers instead of reallocating.
 //
 // Contract (see DESIGN.md Section 2):

@@ -1,6 +1,7 @@
 #include "clique/kclist.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -12,35 +13,93 @@
 namespace c3 {
 namespace {
 
-struct Env {
-  const Digraph* dag;
+/// One top-level task's G[N+(u)] in SubDagScratch, renumbered to local ids
+/// 0..d-1 in rank order. Invariant at level l: for every v in S_l, the
+/// first d_l(v) = degree_at(l)[v] entries of row(v) are exactly v's
+/// neighbours in S_l (those labelled l).
+struct SubDag {
+  int d;
+  const int* offsets;
+  int* adj;
+  std::uint8_t* label;
+  int* degree;  // d_l at degree + l·d
   const CliqueCallback* callback;
+  const node_t* member_orig;
+
+  [[nodiscard]] int* row(int v) const noexcept { return adj + offsets[v]; }
+  [[nodiscard]] int* degree_at(int l) const noexcept {
+    return degree + static_cast<std::size_t>(l) * static_cast<std::size_t>(d);
+  }
 };
+
+/// Moves the entries of row[0, len) labelled `l` to the front; returns how
+/// many there are.
+int partition_labelled(int* row, int len, const std::uint8_t* label, std::uint8_t l) noexcept {
+  int kept = 0;
+  while (kept < len) {
+    if (label[row[kept]] == l) {
+      ++kept;
+    } else {
+      std::swap(row[kept], row[--len]);
+    }
+  }
+  return kept;
+}
+
+/// Populates s.offsets / s.adj with G[members] (global ranks, sorted
+/// ascending) over local ids, each row holding exactly its matches — the
+/// sorted two-pointer walk of build_local_graph.
+void build_sub_dag(const Digraph& dag, std::span<const node_t> members, SubDagScratch& s) {
+  const std::size_t d = members.size();
+  s.offsets.resize(d + 1);
+  s.offsets[0] = 0;
+  s.adj.clear();
+  for (std::size_t a = 0; a < d; ++a) {
+    const auto out = dag.out_neighbors(members[a]);
+    std::size_t i = 0;
+    std::size_t j = a + 1;
+    while (i < out.size() && j < d) {
+      if (out[i] < members[j]) {
+        ++i;
+      } else if (out[i] > members[j]) {
+        ++j;
+      } else {
+        s.adj.push_back(static_cast<int>(j));
+        ++i;
+        ++j;
+      }
+    }
+    s.offsets[a + 1] = static_cast<int>(s.adj.size());
+  }
+}
 
 // Early-stop state rides in w.ctx (SearchContext::poll_stop / request_stop),
 // the same shared-flag mechanism the community-centric searches use.
 
-count_t kclist_rec(const Env& env, CliqueScratch& w, int l) {
+/// Counts (and in listing mode reports) the l-cliques of G[S], S = S[0, size).
+count_t kclist_rec(const SubDag& g, CliqueScratch& w, const int* S, int size, int l) {
   ++w.ctr.recursive_calls;
   if (w.ctx.poll_stop()) return 0;
-  const std::vector<node_t>& S = w.levels[static_cast<std::size_t>(l)];
-  const Digraph& dag = *env.dag;
+  const int* deg = g.degree_at(l);
 
   if (l == 2) {
-    // Count the edges that stayed at level 2: each closes a clique.
+    // Every arc left inside S_2 closes a clique: d_2(v) of them leave v.
     count_t found = 0;
-    for (const node_t v : S) {
-      for (const node_t x : dag.out_neighbors(v)) {
-        ++w.ctr.pairs_probed;
-        if (w.label[x] != 2) continue;
-        if (env.callback != nullptr && w.ctx.poll_stop()) return found;
-        ++found;
-        if (env.callback != nullptr) {
-          w.clique_stack.push_back(dag.original_id(v));
-          w.clique_stack.push_back(dag.original_id(x));
-          if (!(*env.callback)(std::span<const node_t>(w.clique_stack))) w.ctx.request_stop();
-          w.clique_stack.pop_back();
-          w.clique_stack.pop_back();
+    if (g.callback == nullptr) {
+      for (int i = 0; i < size; ++i) found += static_cast<count_t>(deg[S[i]]);
+    } else {
+      std::vector<node_t>& stack = w.ctx.clique_stack;
+      for (int i = 0; i < size; ++i) {
+        const int v = S[i];
+        const int* row = g.row(v);
+        for (int j = 0; j < deg[v]; ++j) {
+          if (w.ctx.poll_stop()) return found;
+          ++found;
+          stack.push_back(g.member_orig[v]);
+          stack.push_back(g.member_orig[row[j]]);
+          if (!(*g.callback)(std::span<const node_t>(stack))) w.ctx.request_stop();
+          stack.pop_back();
+          stack.pop_back();
           if (w.ctx.stopped) return found;
         }
       }
@@ -49,27 +108,31 @@ count_t kclist_rec(const Env& env, CliqueScratch& w, int l) {
     return found;
   }
 
+  const auto below = static_cast<std::uint8_t>(l - 1);
+  int* next_deg = g.degree_at(l - 1);
   count_t total = 0;
-  std::vector<node_t>& next = w.levels[static_cast<std::size_t>(l - 1)];
-  for (const node_t v : S) {
+  for (int i = 0; i < size; ++i) {
     if (w.ctx.poll_stop()) break;
-    // Descend into N+(v) ∩ S: exactly the out-neighbors still labeled l.
-    next.clear();
-    for (const node_t x : dag.out_neighbors(v)) {
-      ++w.ctr.pairs_probed;
-      if (w.label[x] == l) {
-        w.label[x] = l - 1;
-        next.push_back(x);
-        ++w.ctr.edges_matched;
-      }
+    const int v = S[i];
+    // Descend into N+(v) ∩ S_l: exactly the first d_l(v) entries of row(v),
+    // so every pair read there is a hit.
+    const int dv = deg[v];
+    w.ctr.pairs_probed += static_cast<count_t>(dv);
+    w.ctr.edges_matched += static_cast<count_t>(dv);
+    if (dv < l - 1) continue;
+    const int* next = g.row(v);
+    for (int j = 0; j < dv; ++j) g.label[next[j]] = below;
+    // d_{l-1}(x): front-load x's neighbours that survived into S_{l-1}.
+    for (int j = 0; j < dv; ++j) {
+      const int x = next[j];
+      w.ctr.pairs_probed += static_cast<count_t>(deg[x]);
+      next_deg[x] = partition_labelled(g.row(x), deg[x], g.label, below);
     }
-    if (static_cast<int>(next.size()) >= l - 1) {
-      if (env.callback != nullptr) w.clique_stack.push_back(dag.original_id(v));
-      total += kclist_rec(env, w, l - 1);
-      if (env.callback != nullptr) w.clique_stack.pop_back();
-    }
-    // Backtrack: restore the labels consumed above.
-    for (const node_t x : next) w.label[x] = l;
+    if (g.callback != nullptr) w.ctx.clique_stack.push_back(g.member_orig[v]);
+    total += kclist_rec(g, w, next, dv, l - 1);
+    if (g.callback != nullptr) w.ctx.clique_stack.pop_back();
+    // Backtrack: S_{l-1} rejoins S_l.
+    for (int j = 0; j < dv; ++j) g.label[next[j]] = static_cast<std::uint8_t>(l);
   }
   return total;
 }
@@ -88,58 +151,59 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
   scratch.reset_query(callback);
-  Env env{&dag, callback};
 
-  try {
-    parallel_for_dynamic(
-        0, n,
-        [&](std::size_t u) {
-          if (scratch.halted()) return;
-          CliqueScratch& w = scratch.local();
-          if (w.label.size() < static_cast<std::size_t>(n)) w.label.assign(n, 0);
-          if (w.levels.size() < static_cast<std::size_t>(k))
-            w.levels.resize(static_cast<std::size_t>(k));
-          const auto out = dag.out_neighbors(static_cast<node_t>(u));
-          if (static_cast<int>(out.size()) < k - 1) return;
+  parallel_for_dynamic(
+      0, n,
+      [&](std::size_t u) {
+        if (scratch.halted()) return;
+        const auto out = dag.out_neighbors(static_cast<node_t>(u));
+        if (static_cast<int>(out.size()) < k - 1) return;
+        CliqueScratch& w = scratch.local();
 
-          // Dense-subproblem path (counting only): when N+(u) is dense
-          // enough, re-represent it as a bitset LocalGraph and run the
-          // vertex-growth recursion on the SIMD kernels instead of the CSR
-          // label filtering. The arc bound costs one pass over N+(u).
-          if (callback == nullptr) {
-            std::int64_t arcs_upper = 0;
-            for (const node_t x : out) {
-              arcs_upper += std::min<std::int64_t>(
-                  static_cast<std::int64_t>(dag.out_neighbors(x).size()),
-                  static_cast<std::int64_t>(out.size()));
-            }
-            if (use_dense_subproblem(static_cast<int>(out.size()), arcs_upper)) {
-              build_local_graph(dag, out, w.lg);
-              w.ctx.lg = &w.lg;
-              w.ctx.ctr = &w.ctr;
-              ++w.ctr.dense_subproblems;
-              w.count += search_cliques_vertex_all(w.ctx, k - 1);
-              return;
-            }
+        // Dense-subproblem path (counting only): when N+(u) is dense
+        // enough, re-represent it as a bitset LocalGraph and run the
+        // vertex-growth recursion on the SIMD kernels instead of the CSR
+        // sub-degree recursion. The arc bound costs one pass over N+(u).
+        if (callback == nullptr) {
+          std::int64_t arcs_upper = 0;
+          for (const node_t x : out) {
+            arcs_upper += std::min<std::int64_t>(
+                static_cast<std::int64_t>(dag.out_neighbors(x).size()),
+                static_cast<std::int64_t>(out.size()));
           }
-
-          std::vector<node_t>& top = w.levels[static_cast<std::size_t>(k - 1)];
-          top.assign(out.begin(), out.end());
-          for (const node_t x : top) w.label[x] = k - 1;
-          if (callback != nullptr) {
-            w.clique_stack.clear();
-            w.clique_stack.push_back(dag.original_id(static_cast<node_t>(u)));
+          if (use_dense_subproblem(static_cast<int>(out.size()), arcs_upper)) {
+            build_local_graph(dag, out, w.lg);
+            w.ctx.lg = &w.lg;
+            w.ctx.ctr = &w.ctr;
+            ++w.ctr.dense_subproblems;
+            w.count += search_cliques_vertex_all(w.ctx, k - 1);
+            return;
           }
-          w.count += kclist_rec(env, w, k - 1);
-          for (const node_t x : top) w.label[x] = 0;
-        },
-        1);
-  } catch (...) {
-    // The unwind skipped the label backtracking above; flag the lease so
-    // the next query's reset_query re-zeroes before trusting the invariant.
-    scratch.labels_dirty = true;
-    throw;
-  }
+        }
+
+        // CSR path: the task's own G[N+(u)], labels and sub-degrees, all
+        // re-initialised here, so an unwinding callback leaves nothing stale.
+        SubDagScratch& s = w.sub;
+        const int d = static_cast<int>(out.size());
+        build_sub_dag(dag, out, s);
+        s.label.assign(out.size(), static_cast<std::uint8_t>(k - 1));
+        const std::size_t degree_size = static_cast<std::size_t>(k) * out.size();
+        if (s.degree.size() < degree_size) s.degree.resize(degree_size);
+        s.all.resize(out.size());
+        std::iota(s.all.begin(), s.all.end(), 0);
+        if (callback != nullptr) {
+          w.member_orig.resize(out.size());
+          for (std::size_t i = 0; i < out.size(); ++i) w.member_orig[i] = dag.original_id(out[i]);
+          w.ctx.clique_stack.clear();
+          w.ctx.clique_stack.push_back(dag.original_id(static_cast<node_t>(u)));
+        }
+        const SubDag g{d, s.offsets.data(), s.adj.data(), s.label.data(), s.degree.data(), callback,
+                       w.member_orig.data()};
+        int* top_deg = g.degree_at(k - 1);
+        for (int v = 0; v < d; ++v) top_deg[v] = s.offsets[v + 1] - s.offsets[v];
+        w.count += kclist_rec(g, w, s.all.data(), d, k - 1);
+      },
+      1);
 
   scratch.merge_into(result);
   result.stats.search_seconds = search_timer.seconds();

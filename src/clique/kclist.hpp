@@ -3,12 +3,23 @@
 //
 // Vertex-centric backtracking over a graph oriented by the *exact*
 // degeneracy order: for each vertex u (in parallel), search (k-1)-cliques in
-// N+(u) by repeatedly picking a vertex v of the current candidate set and
-// descending into N+(v) ∩ S. Membership of the shrinking candidate set is
-// tracked with the per-level label array of the original kClist
-// implementation (label[w] == l  <=>  w survives at level l). Work
-// O(k m (s/2)^(k-2)), depth O(n + log^2 n) from the sequential order
-// computation (Table 1).
+// N+(u) by repeatedly picking a vertex v of the current candidate set S_l
+// and descending into N+(v) ∩ S_l. As in the reference implementation, each
+// top-level task first renumbers G[N+(u)] to local ids 0..d-1 (d = |N+(u)|)
+// as CSR rows holding exactly their matches, and keeps one sub-degree array
+// per level: the first d_l(v) entries of v's row are its neighbours in S_l.
+// A level scans only that prefix, relabels the survivors to l-1, and
+// partitions each survivor's own prefix in place so its label-(l-1)
+// neighbours come first — their number is d_{l-1}. At l = 2 a count is
+// Σ d_2(v), with no scan. Work O(k m (s/2)^(k-2)), depth O(n + log^2 n)
+// from the sequential order computation (Table 1).
+//
+// Counters: edges_matched sums d_l(v) = |N+(v) ∩ S_l| over every v a level
+// picks, pairs_probed adds to it every entry a partition tests, and
+// leaf_work is Σ d_2. Counting subproblems dense enough for
+// use_dense_subproblem run the bitset vertex-growth recursion instead
+// (dense_subproblems). Worker memory is O(k·d + arcs of G[N+(u)]) for the
+// largest N+(u) met, independent of n.
 #pragma once
 
 #include "clique/c3list.hpp"

@@ -94,8 +94,9 @@ void build_local_graph(const Digraph& dag, std::span<const node_t> members, Loca
 /// Dense-vs-CSR subproblem selection: true when a subproblem over
 /// `nvertices` vertices with at most `arcs_upper` arcs is worth rebuilding
 /// as a bitset LocalGraph (at least dense_subproblem_min_vertices()
-/// vertices and average degree >= nvertices/8); below either bar the CSR
-/// label recursion stays cheaper.
+/// vertices and average degree >= nvertices/8). Below either bar kcList
+/// keeps its CSR sub-degree recursion — the published algorithm — even
+/// where the bitset path would be faster (DESIGN.md, "Dense subproblems").
 [[nodiscard]] bool use_dense_subproblem(int nvertices, std::int64_t arcs_upper) noexcept;
 
 /// The vertex-count floor for use_dense_subproblem. Default 32; settable at

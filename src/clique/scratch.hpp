@@ -12,7 +12,6 @@
 // algorithm stay empty and cost nothing.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -33,11 +32,23 @@ struct LocalDegeneracyScratch {
   std::vector<int> adj_offsets, adj, degree, bin, verts, pos;
 };
 
+/// kcList's CSR subproblem (see kclist.cpp): G[N+(u)] over local ids
+/// 0..d-1, each row holding exactly its matches and reordered in place by
+/// the per-level sub-degree partition; the task's labels; one sub-degree
+/// array per level (stride d); and the top level's candidates 0..d-1.
+/// Every array is sized by the largest G[N+(u)] met so far, never by n.
+struct SubDagScratch {
+  std::vector<int> offsets, adj, degree, all;
+  std::vector<std::uint8_t> label;
+};
+
 /// One worker's reusable state for a sequence of clique searches; handed to
 /// the *_search functions inside a QueryScratch, whose reset_query() clears
 /// the per-query accumulators while keeping the capacity of every buffer.
 struct CliqueScratch {
-  // Shared by the community-centric searches (c3List, c3List-CD, hybrid).
+  // Shared by the community-centric searches (c3List, c3List-CD, hybrid),
+  // ArbCount, and kcList (ctx's stop state and listing stack; lg on its
+  // dense-subproblem path).
   LocalGraph lg;
   SearchContext ctx;
   std::vector<node_t> member_orig;  // local id -> original vertex id (listing)
@@ -48,19 +59,16 @@ struct CliqueScratch {
   std::vector<int> inner_order, inner_rank;
   LocalDegeneracyScratch deg;
 
-  // kcList: per-level label array and candidate sets. (ArbCount's per-level
-  // candidate masks live in ctx — search_cliques_vertex uses the same
-  // aligned mask pool as the edge-growth recursion.)
-  std::vector<int> label;
-  std::vector<std::vector<node_t>> levels;
-
-  // kcList listing stack (c3List's and ArbCount's live in ctx.clique_stack).
-  std::vector<node_t> clique_stack;
+  // kcList's CSR path. (ArbCount's per-level candidate masks live in ctx —
+  // search_cliques_vertex uses the same aligned mask pool as the
+  // edge-growth recursion.)
+  SubDagScratch sub;
 
   // Per-query accumulators. Early-stop state lives in ctx (stopped / stop /
   // limit / callback) for every algorithm — kcList uses only those fields
-  // of its SearchContext on its CSR path, so the cross-worker stop logic
-  // exists exactly once (SearchContext::poll_stop / request_stop).
+  // and the listing stack of its SearchContext on its CSR path, so the
+  // cross-worker stop logic exists exactly once (SearchContext::poll_stop /
+  // request_stop).
   LocalCounters ctr;
   count_t count = 0;
 };
@@ -79,20 +87,14 @@ struct QueryScratch {
   /// worker's context with it.
   QueryLimit* limit = nullptr;
 
-  /// Set by a search half whose traversal unwound via an exception (a
-  /// throwing listing callback): backtracking was skipped, so invariants
-  /// like kcList's all-zeros label array may be broken in the returned
-  /// lease. reset_query repairs them, and only then — the common path pays
-  /// nothing.
-  bool labels_dirty = false;
-
   /// Prepares every slot for a new query: rebuilds the slot array if the
   /// worker pool grew past it (so local() never clamps), resets the
-  /// accumulators, clears the stop flag, repairs exception-dirtied labels,
-  /// and arms each worker's context with `callback`, the stop flag and the
-  /// limit. The flag is wired only when something can raise it — a listing
-  /// callback or an armed limit — so a plain count never polls it. Warm
-  /// buffers survive.
+  /// accumulators, clears the stop flag, and arms each worker's context
+  /// with `callback`, the stop flag and the limit. The flag is wired only
+  /// when something can raise it — a listing callback or an armed limit —
+  /// so a plain count never polls it. Warm buffers survive. Every search
+  /// re-initialises its per-task state at each top-level task, so a lease
+  /// that a throwing callback unwound through needs no repair.
   void reset_query(const CliqueCallback* callback) {
     if (workers.size() < static_cast<std::size_t>(num_workers()))
       workers = PerWorker<CliqueScratch>();
@@ -105,9 +107,7 @@ struct QueryScratch {
       w.ctx.stop = callback != nullptr || limit != nullptr ? &stop : nullptr;
       w.ctx.limit = limit;
       w.ctx.limit_countdown = 1;
-      if (labels_dirty) std::fill(w.label.begin(), w.label.end(), 0);
     }
-    labels_dirty = false;
     stop.store(false, std::memory_order_relaxed);
   }
 

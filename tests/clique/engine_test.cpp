@@ -192,8 +192,8 @@ TEST(Engine, TrivialSizesAndEmptyGraphs) {
 TEST(Engine, ThrowingCallbackLeavesEngineUsable) {
   // A callback that throws mid-enumeration unwinds past the searches'
   // backtracking restores; the leased scratch must come back clean (e.g.
-  // kcList's label array re-zeroed) so later queries on the same engine
-  // still count correctly. Run at 1 worker: the serial loop is the only
+  // every per-task state re-initialised by the next top-level task) so later
+  // queries on the same engine still count correctly. Run at 1 worker: the serial loop is the only
   // configuration where an exception can legally unwind (OpenMP regions
   // would terminate), and it maximizes the dirtied state.
   const Graph g = erdos_renyi(80, 600, 3);
@@ -275,14 +275,15 @@ TEST(Engine, ListingIsKernelBackendIndependent) {
 
 TEST(Engine, KclistDenseAndCsrPathsAgree) {
   // Force the dense-subproblem selection all the way on and all the way off:
-  // the bitset vertex-growth path and the CSR label recursion must count the
-  // same cliques on the same prepared engine.
+  // the bitset vertex-growth path and the CSR sub-degree recursion must
+  // count the same cliques on the same prepared engine, down to the planted
+  // clique's deep levels.
   const int saved = dense_subproblem_min_vertices();
-  const Graph g = social_like(300, 2600, 0.5, 91);
+  const Graph g = testing::with_planted_clique(social_like(300, 2600, 0.5, 91), 12);
   CliqueOptions opts;
   opts.algorithm = Algorithm::KCList;
   const PreparedGraph engine(g, opts);
-  for (int k = 3; k <= 6; ++k) {
+  for (int k = 3; k <= 9; ++k) {
     set_dense_subproblem_min_vertices(1);  // every subproblem dense-eligible
     const count_t dense = engine.count(k).count;
     set_dense_subproblem_min_vertices(1 << 30);  // never dense

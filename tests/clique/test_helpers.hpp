@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "clique/common.hpp"
+#include "graph/builder.hpp"
 #include "graph/graph.hpp"
 
 namespace c3::testing {
@@ -53,5 +54,20 @@ class CliqueCollector {
   std::set<std::vector<node_t>> seen_;
   int bad_size_ = 0, bad_distinct_ = 0, bad_edges_ = 0, duplicates_ = 0;
 };
+
+/// `g` plus a clique on `size` of its vertices, spread evenly over the ids.
+inline Graph with_planted_clique(const Graph& g, node_t size) {
+  EdgeList edges;
+  for (node_t u = 0; u < g.num_nodes(); ++u) {
+    for (const node_t v : g.neighbors(u)) {
+      if (u < v) edges.push_back(Edge{u, v});
+    }
+  }
+  const node_t step = g.num_nodes() / size;
+  for (node_t i = 0; i < size; ++i) {
+    for (node_t j = i + 1; j < size; ++j) edges.push_back(Edge{i * step, j * step});
+  }
+  return build_graph(edges, g.num_nodes());
+}
 
 }  // namespace c3::testing
