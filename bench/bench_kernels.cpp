@@ -9,7 +9,9 @@
 //                by every production algorithm twice: once with the dispatch
 //                pinned to scalar, once on the host-selected backend. The
 //                self-timed search_seconds are compared and the counts are
-//                cross-checked (non-zero exit on any mismatch).
+//                cross-checked (non-zero exit on any mismatch). Also exits
+//                non-zero when c3List's dense_blocks time is more than 4x
+//                kcList's from the same pass (the dense-regime guard).
 //
 //   ./bench_kernels [--out BENCH_pr7.json] [--reps 2] [--k 5]
 //
@@ -260,6 +262,24 @@ int main(int argc, char** argv) {
 
   if (mismatch) {
     std::fprintf(stderr, "bench_kernels: cross-check FAILED\n");
+    return 1;
+  }
+
+  // The dense-regime guard: c3List builds one local graph per source, so on
+  // dense_blocks it runs level with kcList; building one per edge there is
+  // ~20x slower, which the limit catches. Both times are from this pass.
+  double c3list_s = 0.0, kclist_s = 0.0;
+  for (const EndToEndResult& r : e2e) {
+    if (r.graph != "dense_blocks") continue;
+    if (r.algorithm == algorithm_name(Algorithm::C3List)) c3list_s = r.vector_seconds;
+    if (r.algorithm == algorithm_name(Algorithm::KCList)) kclist_s = r.vector_seconds;
+  }
+  constexpr double kDenseRatioLimit = 4.0;
+  std::printf("dense_blocks k=4: c3List %.3fs, kcList %.3fs (%.2fx, limit %.0fx)\n", c3list_s,
+              kclist_s, kclist_s > 0.0 ? c3list_s / kclist_s : 0.0, kDenseRatioLimit);
+  if (c3list_s > kDenseRatioLimit * kclist_s) {
+    std::fprintf(stderr, "bench_kernels: c3List is more than %.0fx kcList on dense_blocks\n",
+                 kDenseRatioLimit);
     return 1;
   }
   return 0;

@@ -2,11 +2,22 @@
 // (Algorithm 1 driving Algorithm 2).
 //
 // Pipeline: orient the graph by a total vertex order (Section 4), build and
-// sort all edge communities (Section 2.2), then — in parallel over the edges
-// supporting at least k-2 triangles — rename each community to a local
-// universe, build its indicator-table adjacency, and run the recursive
-// search for (k-2)-cliques inside it. Work/depth bounds: Theorem 2.1,
-// instantiated by the chosen order per Table 1.
+// sort all edge communities (Section 2.2), then — in parallel over the
+// sources u with at least one out-arc supporting k-2 triangles — build one
+// indicator-table adjacency of G[N+(u)] and run the recursive search for
+// (k-2)-cliques once per such arc e = u->v, with C(e) as the top-level
+// candidates. Every community of an arc out of u lies in N+(u), and
+// b ∈ C(u->v) exactly when b->v is an arc inside N+(u), so the rows come
+// straight from u's communities, in O(T_u log s-tilde) for the T_u
+// triangles whose first vertex is u. At k = 3 nothing is built: every
+// community member closes a triangle. Work/depth bounds: Theorem 2.1,
+// instantiated by the chosen order per Table 1; a top-level task runs its
+// source's arcs one after another, so its span is the sum over those arcs.
+//
+// stats.top_level_tasks counts the qualifying arcs, as in Algorithm 1, not
+// the sources. Worker memory is one local graph of s-tilde·⌈s-tilde/64⌉
+// words (s-tilde = the largest out-degree; the per-edge build needed
+// γ·⌈γ/64⌉) plus the local ids of one source's communities.
 //
 // The pipeline is split into a prepare half (order + orientation +
 // communities, owned by PreparedGraph in engine.hpp) and the search half

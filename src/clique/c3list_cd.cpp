@@ -73,18 +73,20 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         CliqueScratch& w = scratch.local();
         const edge_t e = tasks[t];
         const auto members = order.candidates(e);
+        w.ctx.prune = opts.distance_pruning;
+        w.ctx.ctr = &w.ctr;
+        if (callback != nullptr) w.ctx.clique_stack.assign({endpoints[e].u, endpoints[e].v});
+        // k = 3 needs no adjacency: every member of V'(e) closes a triangle
+        // with e (and is an original vertex id already).
+        if (k == 3) {
+          w.count += search_base_case(w.ctx, members, [](node_t v) { return v; });
+          return;
+        }
         // Algorithm 3, line 4: V' <- community of e among later edges.
         build_local_graph_cd(g, members, order.pos, order.pos[e], w.lg);
         w.ctx.lg = &w.lg;
-        w.ctx.prune = opts.distance_pruning;
-        w.ctx.ctr = &w.ctr;
-        if (callback != nullptr) {
-          // V'(e) members are original vertex ids already.
-          w.ctx.member_to_orig = members.data();
-          w.ctx.clique_stack.clear();
-          w.ctx.clique_stack.push_back(endpoints[e].u);
-          w.ctx.clique_stack.push_back(endpoints[e].v);
-        }
+        // V'(e) members are original vertex ids already.
+        w.ctx.member_to_orig = members.data();
         // Algorithm 3, line 5: recurse with c = k - 2.
         w.count += search_cliques_all(w.ctx, k - 2, opts.triangle_growth);
       },

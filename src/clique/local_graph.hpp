@@ -3,9 +3,12 @@
 // Algorithm 1 preprocesses each qualifying edge e by renaming its community
 // C(e) to consecutive integers and building "an adjacency matrix of G[C(e)]"
 // with "a boolean indicator table" per edge (Section 2.2). We realize both
-// as bitset rows over the local universe: row(a) holds the local neighbors
-// of a, so edge probes are single bit tests and community intersections are
-// word-parallel ANDs.
+// as bitset rows over a local universe: row(a) holds the local neighbors of
+// a, so edge probes are single bit tests and community intersections are
+// word-parallel ANDs. The universe may be a superset of the candidates
+// searched: c3List builds one table per source u, over N+(u), and searches
+// every community of u's arcs inside it; c3List-CD, the hybrid and the
+// dense paths build the universe they search.
 //
 // Local ids are assigned in ascending rank order, so the total order of the
 // orientation is the natural `<` on local ids and the paper's distance
@@ -30,8 +33,8 @@
 namespace c3 {
 
 /// Reusable per-worker storage for one local subgraph and the recursion
-/// stacks on top of it. Sized for the largest community met so far; reused
-/// across top-level edges to avoid allocation in the hot loop.
+/// stacks on top of it. Sized for the largest universe met so far; reused
+/// across top-level tasks to avoid allocation in the hot loop.
 class LocalGraph {
  public:
   /// Prepares an empty local graph over `n` vertices. Clearing is lazy:

@@ -37,8 +37,10 @@ bool SearchContext::limit_expired() noexcept {
   return true;
 }
 
-count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth) {
-  return search_build(bits::active_kernel_backend()).cliques_all(ctx, c, triangle_growth);
+count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth,
+                           std::optional<std::span<const int>> candidates) {
+  return search_build(bits::active_kernel_backend())
+      .cliques_all(ctx, c, triangle_growth, candidates);
 }
 
 count_t search_cliques_vertex_all(SearchContext& ctx, int c) {

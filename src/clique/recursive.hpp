@@ -28,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -153,11 +154,17 @@ struct SearchContext {
   std::size_t depth_ = 0;
 };
 
-/// Runs Algorithm 2 over *all* vertices of the local graph (candidate set =
-/// the full universe) and returns the number of c-cliques of ctx.lg, reporting
-/// each through ctx.callback in listing mode. Used by the top level of
-/// Algorithm 1 (I = C(e)), Algorithm 3 (I = V'(e)), and the hybrid's
-/// per-vertex subproblems (I = N+(v)); sizes the scratch itself.
+/// Runs Algorithm 2 on the top-level candidate set `candidates` — sorted
+/// ascending local ids of ctx.lg; the whole universe when omitted — and
+/// returns the number of c-cliques of ctx.lg[candidates], reporting each
+/// through ctx.callback in listing mode. The recursion indexes the candidate
+/// array and its mask, never the universe, so the universe may be any
+/// superset of the candidates: the count, the listing and every work counter
+/// except `intersection_words` are those of a compact G[candidates] (and that
+/// one too while both universes fit one word). Used by the top level of
+/// Algorithm 1 (I = C(e) inside its source's G[N+(u)]), Algorithm 3
+/// (I = V'(e)), and the hybrid's per-vertex subproblems (I = N+(v)); sizes
+/// the scratch itself.
 ///
 /// Each level grows the partial clique by the supporting pair (a, b) of the
 /// remaining clique and recurses on I ∩ C(a, b). With `triangle_growth` it
@@ -167,7 +174,36 @@ struct SearchContext {
 /// of the remaining clique — and recurses with c - 3 on B(a,b) ∩ N(x) ∩ {> x}.
 /// (min, second-min, max) of every clique is a canonical triple, so each
 /// clique is still produced exactly once; depth shrinks from ~c/2 to ~c/3.
-[[nodiscard]] count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth = false);
+[[nodiscard]] count_t search_cliques_all(
+    SearchContext& ctx, int c, bool triangle_growth = false,
+    std::optional<std::span<const int>> candidates = std::nullopt);
+
+/// Algorithm 2's base case c == 1 (line 2) as one recursive call: every one
+/// of `members` completes the clique on ctx.clique_stack. The recursion's
+/// leaves run it on local ids; the k = 3 top levels of c3List and c3List-CD
+/// run it straight on a community, with no local graph. `to_orig` maps a
+/// member to its original vertex id for listing.
+template <typename Member, typename ToOrig>
+count_t search_base_case(SearchContext& ctx, std::span<const Member> members, ToOrig&& to_orig) {
+  LocalCounters& ctr = *ctx.ctr;
+  ++ctr.recursive_calls;
+  if (ctx.poll_stop()) return 0;
+  ctr.leaf_work += members.size();
+  if (ctx.callback == nullptr) return static_cast<count_t>(members.size());
+  count_t emitted = 0;
+  for (const Member m : members) {
+    if (ctx.poll_stop()) break;
+    ctx.clique_stack.push_back(to_orig(m));
+    const bool keep_going = (*ctx.callback)(std::span<const node_t>(ctx.clique_stack));
+    ctx.clique_stack.pop_back();
+    ++emitted;
+    if (!keep_going) {
+      ctx.request_stop();
+      break;
+    }
+  }
+  return emitted;
+}
 
 /// Vertex-at-a-time recursion over the full local universe: pick the next
 /// clique vertex x ascending (= respecting the orientation), descend into

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <type_traits>
 
@@ -30,7 +31,8 @@ namespace c3::detail {
 
 /// One build of the recursions: the entries recursive.cpp dispatches to.
 struct SearchBuild {
-  count_t (*cliques_all)(SearchContext& ctx, int c, bool triangle_growth);
+  count_t (*cliques_all)(SearchContext& ctx, int c, bool triangle_growth,
+                         std::optional<std::span<const int>> candidates);
   count_t (*vertex_all)(SearchContext& ctx, int c);
   const char* name;
 };
@@ -166,6 +168,9 @@ template <int kWords>
 count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask,
                        int c, int level) {
   assert(c >= 1);
+  // Base case c == 1 (Algorithm 2, line 2): every candidate is a clique.
+  if (c == 1) return search_base_case(ctx, I, [&](int a) { return ctx.member_to_orig[a]; });
+
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
   if (ctx.poll_stop()) return 0;
@@ -173,25 +178,6 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
   const LocalGraph& lg = *ctx.lg;
   const std::size_t words = row_words<kWords>(lg);
   const bool listing = ctx.callback != nullptr;
-
-  // Base case c == 1 (Algorithm 2, line 2): every candidate is a clique.
-  if (c == 1) {
-    ctr.leaf_work += I.size();
-    if (!listing) return static_cast<count_t>(I.size());
-    count_t emitted = 0;
-    for (const int a : I) {
-      if (ctx.poll_stop()) break;
-      ctx.clique_stack.push_back(ctx.member_to_orig[a]);
-      const bool keep_going = emit(ctx);
-      ctx.clique_stack.pop_back();
-      ++emitted;
-      if (!keep_going) {
-        ctx.request_stop();
-        break;
-      }
-    }
-    return emitted;
-  }
 
   // Base case c == 2 (line 4): every edge inside I is a clique.
   if (c == 2) {
@@ -422,25 +408,34 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
   return total;
 }
 
-/// The build's search_cliques_all: sizes the scratch, then runs the
-/// one-word instantiation when the universe fits one word.
-count_t cliques_all(SearchContext& ctx, int c, bool triangle_growth) {
+/// The build's search_cliques_all: sizes the scratch, builds the top-level
+/// candidate array and mask, then runs the one-word instantiation when the
+/// universe fits one word.
+count_t cliques_all(SearchContext& ctx, int c, bool triangle_growth,
+                    std::optional<std::span<const int>> candidates) {
   const int n = ctx.lg->size();
   const int words = ctx.lg->words();
   // Depth bound: c shrinks by >= 2 per level (pair growth) and the triangle
   // variant consumes two mask slots per level; c + 3 covers both with slack.
   ctx.ensure_capacity(n, c + 3, words);
-  int* universe = ctx.cand_at(c + 2);  // top level borrows the last slot
-  for (int i = 0; i < n; ++i) universe[i] = i;
-  std::uint64_t* mask = ctx.mask_at(c + 2);
-  bits::fill_prefix(mask, static_cast<std::size_t>(n), static_cast<std::size_t>(words));
-  const std::span<const int> all(universe, static_cast<std::size_t>(n));
-  if (words == 1) {
-    return triangle_growth ? search_cliques_tri<1>(ctx, all, mask, c, 0)
-                           : search_cliques<1>(ctx, all, mask, c, 0);
+  std::uint64_t* mask = ctx.mask_at(c + 2);  // the top level borrows the last slot
+  std::span<const int> top;
+  if (candidates) {
+    top = *candidates;
+    bits::clear_words(mask, static_cast<std::size_t>(words));
+    for (const int a : top) bits::set_bit(mask, static_cast<std::size_t>(a));
+  } else {
+    int* universe = ctx.cand_at(c + 2);
+    for (int i = 0; i < n; ++i) universe[i] = i;
+    bits::fill_prefix(mask, static_cast<std::size_t>(n), static_cast<std::size_t>(words));
+    top = std::span<const int>(universe, static_cast<std::size_t>(n));
   }
-  return triangle_growth ? search_cliques_tri<0>(ctx, all, mask, c, 0)
-                         : search_cliques<0>(ctx, all, mask, c, 0);
+  if (words == 1) {
+    return triangle_growth ? search_cliques_tri<1>(ctx, top, mask, c, 0)
+                           : search_cliques<1>(ctx, top, mask, c, 0);
+  }
+  return triangle_growth ? search_cliques_tri<0>(ctx, top, mask, c, 0)
+                         : search_cliques<0>(ctx, top, mask, c, 0);
 }
 
 /// The build's search_cliques_vertex_all, likewise.

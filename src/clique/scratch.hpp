@@ -52,6 +52,7 @@ struct CliqueScratch {
   LocalGraph lg;
   SearchContext ctx;
   std::vector<node_t> member_orig;  // local id -> original vertex id (listing)
+  std::vector<int> local_ids;       // c3List: a source's communities in local ids
 
   // Hybrid: the out-neighborhood subgraph before the inner-order renaming,
   // plus the inner exact degeneracy order and its scratch.

@@ -71,6 +71,24 @@ TEST(C3ListCD, K3EqualsTriangles) {
   EXPECT_EQ(count_cliques(g, 3, approx_opts()).count, brute_force_count(g, 3));
 }
 
+TEST(C3ListCD, K3CountsEachCandidateSetAsOneLeaf) {
+  // k = 3 builds no local graph: each task's V'(e) is one c = 1 leaf, in
+  // counting and in listing alike, with the recursion's counters.
+  const Graph g = social_like(300, 2000, 0.4, 5);
+  const PreparedGraph engine(g, exact_opts());
+  const CliqueResult counted = engine.count(3);
+  testing::CliqueCollector collector(g, 3);
+  const CliqueResult listed = engine.list(3, collector.callback());
+  collector.expect_valid(counted.count);
+  for (const CliqueResult& r : {counted, listed}) {
+    EXPECT_EQ(r.count, brute_force_count(g, 3));
+    EXPECT_EQ(r.stats.recursive_calls, r.stats.top_level_tasks);
+    EXPECT_EQ(r.stats.leaf_work, r.count);
+    EXPECT_EQ(r.stats.pairs_probed, 0u);
+    EXPECT_EQ(r.stats.intersection_words, 0u);
+  }
+}
+
 TEST(C3ListCD, ListingMatchesCountingAndIsValid) {
   const Graph g = erdos_renyi(50, 380, 11);
   for (int k = 3; k <= 6; ++k) {

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/combinatorics.hpp"
+#include "clique/engine.hpp"
 #include "graph/gen/generators.hpp"
+#include "parallel/parallel.hpp"
 #include "test_helpers.hpp"
 
 namespace c3 {
@@ -136,6 +141,77 @@ TEST(C3List, EmptyAndTinyGraphs) {
   EXPECT_EQ(count_cliques(complete_graph(3), 4).count, 0u);
   EXPECT_EQ(count_cliques(complete_graph(4), 4).count, 1u);
   EXPECT_EQ(count_cliques(complete_graph(5), 4).count, 5u);
+}
+
+TEST(C3List, PerSourceBuildWalksTheSameSearchTree) {
+  // c3List builds one local graph per source u, over N+(u), and searches
+  // each community C(u->v) as a candidate subset of it. The recursion must
+  // walk exactly the tree that a compact G[C(e)] per edge walks; these
+  // values were taken from that per-edge build. intersection_words is
+  // pinned only where s-tilde <= 64 (every universe one word): a wider
+  // source universe spans more words per leaf count than a compact one.
+  struct Pinned {
+    int k;
+    count_t count, tasks, calls, probed, matched, words, leaf;
+  };
+  struct Case {
+    Graph g;
+    bool one_word;
+    std::vector<Pinned> pins;
+  };
+  const Case cases[] = {
+      {erdos_renyi(60, 500, 4),
+       true,
+       {{3, 819, 333, 333, 0, 0, 0, 819},
+        {4, 314, 217, 217, 0, 0, 703, 314},
+        {5, 31, 134, 162, 492, 159, 159, 31},
+        {6, 1, 76, 79, 223, 66, 72, 1},
+        {7, 0, 37, 37, 88, 31, 31, 0},
+        {8, 0, 16, 16, 29, 8, 8, 0}}},
+      {testing::with_planted_clique(social_like(200, 1200, 0.5, 7), 16),
+       true,
+       {{3, 1435, 587, 587, 0, 0, 0, 1435},
+        {4, 2100, 303, 303, 0, 0, 1151, 2100},
+        {5, 4409, 177, 1579, 1659, 1461, 1461, 4409},
+        {6, 8012, 121, 1126, 1114, 1031, 5043, 8012},
+        {7, 11440, 78, 5798, 5751, 5727, 5727, 11440},
+        {8, 12870, 49, 3547, 3502, 3498, 12936, 12870}}},
+      // s-tilde = 69: source universes span two words. k stops at 6 here;
+      // k = 7 and 8 count 1.2e9 and 9.4e9 cliques, seconds per run.
+      {testing::with_planted_clique(social_like(300, 1500, 0.5, 11), 70),
+       false,
+       {{3, 56007, 2903, 2903, 0, 0, 0, 56007},
+        {4, 918453, 2553, 2553, 0, 0, 0, 918453},
+        {5, 12106425, 2380, 867890, 865793, 865563, 0, 12106425},
+        {6, 131123399, 2232, 817331, 815242, 815139, 0, 131123399}}},
+  };
+  CliqueOptions kclist;
+  kclist.algorithm = Algorithm::KCList;
+  for (const Case& c : cases) {
+    const PreparedGraph engine(c.g, {});
+    const PreparedGraph reference(c.g, kclist);
+    for (const int workers : {1, std::max(4, max_workers())}) {
+      const int old = set_num_workers(workers);
+      for (const Pinned& p : c.pins) {
+        const std::string where = "n=" + std::to_string(c.g.num_nodes()) +
+                                  " k=" + std::to_string(p.k) +
+                                  " workers=" + std::to_string(workers);
+        const CliqueResult r = engine.count(p.k);
+        EXPECT_EQ(r.count, p.count) << where;
+        EXPECT_EQ(r.stats.top_level_tasks, p.tasks) << where;
+        EXPECT_EQ(r.stats.recursive_calls, p.calls) << where;
+        EXPECT_EQ(r.stats.pairs_probed, p.probed) << where;
+        EXPECT_EQ(r.stats.edges_matched, p.matched) << where;
+        EXPECT_EQ(r.stats.leaf_work, p.leaf) << where;
+        if (c.one_word) {
+          EXPECT_EQ(r.stats.intersection_words, p.words) << where;
+        }
+        if (p.count > 1'000'000) continue;  // listing every clique costs too much
+        EXPECT_EQ(engine.per_vertex_counts(p.k), reference.per_vertex_counts(p.k)) << where;
+      }
+      set_num_workers(old);
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <functional>
 #include <optional>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "clique/combinatorics.hpp"
@@ -237,13 +239,19 @@ std::ostream& operator<<(std::ostream& os, const SearchTrace& t) {
 
 enum class Growth { Pair, Triangle, Vertex };
 
-SearchTrace run_search(const LocalGraph& lg, Growth growth, int c, bool listing) {
+/// Runs one search over `lg` — on `candidates` when given (pair and
+/// triangle growth only), else on the whole universe — and records its
+/// trace. Listing reports local id v as `to_orig[v]`, or as v itself.
+SearchTrace run_search(const LocalGraph& lg, Growth growth, int c, bool listing,
+                       std::optional<std::span<const int>> candidates = std::nullopt,
+                       const std::vector<node_t>* to_orig = nullptr) {
   SearchContext ctx;
   LocalCounters ctr;
   ctx.lg = &lg;
   ctx.ctr = &ctr;
   std::vector<node_t> identity(static_cast<std::size_t>(lg.size()));
   for (std::size_t v = 0; v < identity.size(); ++v) identity[v] = static_cast<node_t>(v);
+  if (to_orig != nullptr) identity = *to_orig;
   SearchTrace t;
   const CliqueCallback cb = [&](std::span<const node_t> clique) {
     std::vector<node_t> sorted(clique.begin(), clique.end());
@@ -257,8 +265,9 @@ SearchTrace run_search(const LocalGraph& lg, Growth growth, int c, bool listing)
     ctx.callback = &cb;
     ctx.member_to_orig = identity.data();
   }
-  t.count = growth == Growth::Vertex ? search_cliques_vertex_all(ctx, c)
-                                     : search_cliques_all(ctx, c, growth == Growth::Triangle);
+  t.count = growth == Growth::Vertex
+                ? search_cliques_vertex_all(ctx, c)
+                : search_cliques_all(ctx, c, growth == Growth::Triangle, candidates);
   t.recursive_calls = ctr.recursive_calls;
   t.pairs_probed = ctr.pairs_probed;
   t.edges_matched = ctr.edges_matched;
@@ -330,6 +339,79 @@ TEST(RecursiveEngine, BackendsAndWidthsAgreeWithBruteForce) {
               if (!checksum) checksum = t.checksum;
               EXPECT_EQ(t.checksum, *checksum) << where;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RecursiveEngine, CandidateSubsetAgreesWithCompactUniverse) {
+  // c3List searches each community C(e) as a candidate subset of its
+  // source's G[N+(u)] rather than as a compact G[C(e)]. The recursion
+  // indexes the candidate array and its mask, never the universe, so both
+  // must take the same steps: same cliques, same work counters — and the
+  // same intersection_words while both universes are one word (wider
+  // universes span more words per interval). Universes on both sides of
+  // the one-word path and the word boundaries, every backend.
+  const BackendGuard guard;
+  const std::vector<bits::KernelBackend> backends = bits::available_kernel_backends();
+  std::mt19937 rng(20);
+  for (const int n : {1, 63, 64, 65, 129, 300}) {
+    std::bernoulli_distribution edge(n <= 65 ? 0.5 : n <= 129 ? 0.35 : 0.15);
+    std::bernoulli_distribution pick(0.6);
+    LocalGraph universe;
+    universe.reset(n);
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        if (edge(rng)) universe.add_edge(a, b);
+      }
+    }
+    // A random candidate subset I, always holding the word-edge bits, with
+    // a clique planted on those and on six spread-out candidates, so the
+    // larger c have cliques to find and their intervals cross words.
+    std::vector<int> I, planted;
+    for (int v = 0; v < n; ++v) {
+      const bool edge_bit = v == 0 || v == 63 || v == 64 || v == 128 || v == n - 1;
+      if (edge_bit) planted.push_back(v);
+      if (edge_bit || pick(rng)) I.push_back(v);
+    }
+    for (std::size_t i = 0; i < I.size(); i += std::max<std::size_t>(1, I.size() / 6))
+      planted.push_back(I[i]);
+    for (const int a : planted) {
+      for (const int b : planted) {
+        if (a < b) universe.add_edge(a, b);
+      }
+    }
+    // G[I] built compactly: local id i is I[i].
+    const int m = static_cast<int>(I.size());
+    LocalGraph compact;
+    compact.reset(m);
+    for (int i = 0; i < m; ++i) {
+      for (int j = i + 1; j < m; ++j) {
+        if (universe.has_edge(I[static_cast<std::size_t>(i)], I[static_cast<std::size_t>(j)]))
+          compact.add_edge(i, j);
+      }
+    }
+    const std::vector<node_t> compact_to_universe(I.begin(), I.end());
+    const bool one_word = universe.words() == 1 && compact.words() == 1;
+
+    for (int c = 1; c <= 6; ++c) {
+      for (const Growth growth : {Growth::Pair, Growth::Triangle}) {
+        for (const bool listing : {false, true}) {
+          for (const bits::KernelBackend b : backends) {
+            ASSERT_TRUE(bits::set_kernel_backend(b));
+            const std::string where = "n=" + std::to_string(n) + " |I|=" + std::to_string(m) +
+                                      " c=" + std::to_string(c) +
+                                      " growth=" + std::to_string(static_cast<int>(growth)) +
+                                      " listing=" + std::to_string(listing) +
+                                      " backend=" + bits::kernel_backend_name(b);
+            SearchTrace subset =
+                run_search(universe, growth, c, listing, std::span<const int>(I));
+            SearchTrace whole = run_search(compact, growth, c, listing, std::nullopt,
+                                           &compact_to_universe);
+            if (!one_word) subset.intersection_words = whole.intersection_words;
+            EXPECT_EQ(subset, whole) << where;
           }
         }
       }
