@@ -51,7 +51,7 @@ CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* ca
         }
 
         // Search (k-1)-cliques vertex-at-a-time; each completes with u.
-        w.count += search_cliques_vertex_all(w.ctx, k - 1);
+        add_count(w.count, search_cliques_vertex_all(w.ctx, k - 1), w.ctr);
       },
       1);
 

@@ -79,7 +79,7 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         // k = 3 needs no adjacency: every member of V'(e) closes a triangle
         // with e (and is an original vertex id already).
         if (k == 3) {
-          w.count += search_base_case(w.ctx, members, [](node_t v) { return v; });
+          add_count(w.count, search_base_case(w.ctx, members, [](node_t v) { return v; }), w.ctr);
           return;
         }
         // Algorithm 3, line 4: V' <- community of e among later edges.
@@ -88,7 +88,7 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         // V'(e) members are original vertex ids already.
         w.ctx.member_to_orig = members.data();
         // Algorithm 3, line 5: recurse with c = k - 2.
-        w.count += search_cliques_all(w.ctx, k - 2, opts.triangle_growth);
+        add_count(w.count, search_cliques_all(w.ctx, k - 2, opts.triangle_growth), w.ctr);
       },
       1);
 

@@ -3,21 +3,33 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "graph/types.hpp"
 
 namespace c3 {
 
-/// Binomial coefficient C(n, k) in 64 bits (no overflow checks; callers use
-/// small arguments).
-[[nodiscard]] constexpr count_t binomial(count_t n, count_t k) noexcept {
+/// C(n, k), or nullopt when it exceeds count_t's maximum. Step i holds
+/// C(n - k + i, i): the product with (n - k + i) is taken in 128 bits before
+/// the division, so no step wraps, and the steps never shrink, so the first
+/// one past 64 bits proves that the result is too.
+[[nodiscard]] constexpr std::optional<count_t> checked_binomial(count_t n, count_t k) noexcept {
   if (k > n) return 0;
   if (k > n - k) k = n - k;
   count_t result = 1;
   for (count_t i = 1; i <= k; ++i) {
-    result = result * (n - k + i) / i;
+    const unsigned __int128 next = static_cast<unsigned __int128>(result) * (n - k + i) / i;
+    if (next > std::numeric_limits<count_t>::max()) return std::nullopt;
+    result = static_cast<count_t>(next);
   }
   return result;
+}
+
+/// Binomial coefficient C(n, k); saturates at count_t's maximum when the
+/// result does not fit (checked_binomial tells the two apart).
+[[nodiscard]] constexpr count_t binomial(count_t n, count_t k) noexcept {
+  return checked_binomial(n, k).value_or(std::numeric_limits<count_t>::max());
 }
 
 /// Observation 3: |P+_c(V)| = |P-_c(V)| = |V| - (c + 1) relevant out/in

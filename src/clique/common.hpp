@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stdexcept>
 
 #include "graph/types.hpp"
 
@@ -63,6 +64,14 @@ struct CliqueOptions {
 /// empirical counterparts of the quantities in the paper's work analysis:
 /// pairs_probed ~ |R^P|, edges_matched ~ |R^E|, intersection_words ~ the
 /// intersection work, leaf_work ~ the listing cost L(c, I).
+///
+/// They describe the search actually walked. A count (no callback) takes
+/// the closed form C(|I|, c) for every complete candidate set it meets and
+/// walks nothing below it (DESIGN.md, "Counting closed form"): the set adds
+/// one recursive call, its completeness test's words and C(|I|, c) to
+/// leaf_work, and one closed_form_sets. So a count's probe and call
+/// counters fall where complete sets are common, while leaf_work still sums
+/// to the count; a listing walks every leaf.
 struct CliqueStats {
   count_t cliques = 0;
   count_t top_level_tasks = 0;     ///< edges (or vertices) spawning a search
@@ -71,6 +80,8 @@ struct CliqueStats {
   count_t edges_matched = 0;       ///< probed pairs that were edges (recursed)
   count_t intersection_words = 0;  ///< 64-bit words touched by intersections
   count_t leaf_work = 0;           ///< work at recursion leaves (c <= 2)
+  count_t closed_form_sets = 0;    ///< complete candidate sets counted as
+                                   ///< C(|I|, c) instead of walked
   count_t dense_subproblems = 0;   ///< subproblems routed to the dense
                                    ///< (bitset local-graph) path vs CSR
   node_t gamma = 0;                ///< largest community / candidate set
@@ -92,7 +103,11 @@ struct LocalCounters {
   count_t edges_matched = 0;
   count_t intersection_words = 0;
   count_t leaf_work = 0;
+  count_t closed_form_sets = 0;
   count_t dense_subproblems = 0;
+  /// A clique count this worker summed went past count_t's maximum; the
+  /// query is refused at the merge (see add_count).
+  bool count_overflow = false;
 
   void merge_into(CliqueStats& s) const noexcept {
     s.recursive_calls += recursive_calls;
@@ -100,16 +115,30 @@ struct LocalCounters {
     s.edges_matched += edges_matched;
     s.intersection_words += intersection_words;
     s.leaf_work += leaf_work;
+    s.closed_form_sets += closed_form_sets;
     s.dense_subproblems += dense_subproblems;
   }
 };
 
+/// total += n for a clique count. Closed forms make totals past 2^64
+/// reachable in milliseconds (C(68, 36) ~ 2.2e19), so a sum that leaves
+/// count_t's range raises ctr.count_overflow instead of wrapping silently.
+inline void add_count(count_t& total, count_t n, LocalCounters& ctr) noexcept {
+  if (__builtin_add_overflow(total, n, &total)) ctr.count_overflow = true;
+}
+
 /// Folds one worker's per-query accumulators — its clique count and counter
 /// block — into a result. The single merge point for every search half (the
 /// lease's merge_into drains all worker slots through it), so the stats
-/// contract lives in exactly one place.
-inline void merge_stats(CliqueResult& result, count_t count, const LocalCounters& ctr) noexcept {
-  result.count += count;
+/// contract lives in exactly one place. Throws std::overflow_error when the
+/// worker's count or the query's total left count_t's range: an answer is
+/// refused rather than wrapped.
+inline void merge_stats(CliqueResult& result, count_t count, const LocalCounters& ctr) {
+  if (ctr.count_overflow || __builtin_add_overflow(result.count, count, &result.count)) {
+    throw std::overflow_error(
+        "clique count overflow: more than 18446744073709551615 cliques (the 64-bit count "
+        "range); refused rather than wrapped");
+  }
   ctr.merge_into(result.stats);
   result.stats.cliques = result.count;
 }
@@ -128,6 +157,7 @@ inline void accumulate_stats(CliqueStats& into, const CliqueStats& from) noexcep
   into.edges_matched += from.edges_matched;
   into.intersection_words += from.intersection_words;
   into.leaf_work += from.leaf_work;
+  into.closed_form_sets += from.closed_form_sets;
   into.dense_subproblems += from.dense_subproblems;
   into.gamma = std::max(into.gamma, from.gamma);
   into.order_quality = std::max(into.order_quality, from.order_quality);

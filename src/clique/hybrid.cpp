@@ -132,7 +132,7 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
         }
 
         // Search (k-1)-cliques in G[N+(v)]; each completes with v.
-        w.count += search_cliques_all(w.ctx, k - 1, opts.triangle_growth);
+        add_count(w.count, search_cliques_all(w.ctx, k - 1, opts.triangle_growth), w.ctr);
       },
       1);
 

@@ -77,10 +77,23 @@ void build_sub_dag(const Digraph& dag, std::span<const node_t> members, SubDagSc
 // the same shared-flag mechanism the community-centric searches use.
 
 /// Counts (and in listing mode reports) the l-cliques of G[S], S = S[0, size).
-count_t kclist_rec(const SubDag& g, CliqueScratch& w, const int* S, int size, int l) {
+/// `arcs` = Σ d_l(v) over S, the arcs of G[S], summed by the caller as it
+/// computed the sub-degrees.
+count_t kclist_rec(const SubDag& g, CliqueScratch& w, const int* S, int size, std::int64_t arcs,
+                   int l) {
   ++w.ctr.recursive_calls;
   if (w.ctx.poll_stop()) return 0;
   const int* deg = g.degree_at(l);
+
+  // A count takes a complete S in closed form: G[S] is a DAG, so it is
+  // complete exactly when it has |S|(|S|-1)/2 arcs, and then holds C(|S|, l)
+  // l-cliques (DESIGN.md, "Counting closed form").
+  if (g.callback == nullptr && l >= 3 &&
+      arcs == static_cast<std::int64_t>(size) * (size - 1) / 2) {
+    if (const std::optional<count_t> n =
+            closed_form_cliques(static_cast<count_t>(size), l, w.ctr))
+      return *n;
+  }
 
   if (l == 2) {
     // Every arc left inside S_2 closes a clique: d_2(v) of them leave v.
@@ -123,13 +136,15 @@ count_t kclist_rec(const SubDag& g, CliqueScratch& w, const int* S, int size, in
     const int* next = g.row(v);
     for (int j = 0; j < dv; ++j) g.label[next[j]] = below;
     // d_{l-1}(x): front-load x's neighbours that survived into S_{l-1}.
+    std::int64_t next_arcs = 0;
     for (int j = 0; j < dv; ++j) {
       const int x = next[j];
       w.ctr.pairs_probed += static_cast<count_t>(deg[x]);
       next_deg[x] = partition_labelled(g.row(x), deg[x], g.label, below);
+      next_arcs += next_deg[x];
     }
     if (g.callback != nullptr) w.ctx.clique_stack.push_back(g.member_orig[v]);
-    total += kclist_rec(g, w, next, dv, l - 1);
+    add_count(total, kclist_rec(g, w, next, dv, next_arcs, l - 1), w.ctr);
     if (g.callback != nullptr) w.ctx.clique_stack.pop_back();
     // Backtrack: S_{l-1} rejoins S_l.
     for (int j = 0; j < dv; ++j) g.label[next[j]] = static_cast<std::uint8_t>(l);
@@ -176,7 +191,7 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
             w.ctx.lg = &w.lg;
             w.ctx.ctr = &w.ctr;
             ++w.ctr.dense_subproblems;
-            w.count += search_cliques_vertex_all(w.ctx, k - 1);
+            add_count(w.count, search_cliques_vertex_all(w.ctx, k - 1), w.ctr);
             return;
           }
         }
@@ -201,7 +216,8 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
                        w.member_orig.data()};
         int* top_deg = g.degree_at(k - 1);
         for (int v = 0; v < d; ++v) top_deg[v] = s.offsets[v + 1] - s.offsets[v];
-        w.count += kclist_rec(g, w, s.all.data(), d, k - 1);
+        add_count(w.count, kclist_rec(g, w, s.all.data(), d, s.offsets[out.size()], k - 1),
+                  w.ctr);
       },
       1);
 

@@ -154,6 +154,44 @@ std::uint64_t intersect_above(const std::uint64_t* row, const std::uint64_t* mas
   }
 }
 
+/// The closed form's out-of-line part, reached once a set's lowest member
+/// `first` is adjacent to all size - 1 others: tests the members above it,
+/// stopping at the first that is not, and returns closed_form_cliques for a
+/// complete set. Kept out of the recursions' bodies, which it would
+/// otherwise bloat on every call.
+template <int kWords>
+[[gnu::noinline]] std::optional<count_t> complete_set_count(const LocalGraph& lg,
+                                                           const std::uint64_t* mask,
+                                                           std::size_t words, std::uint64_t size,
+                                                           std::size_t first, int c,
+                                                           LocalCounters& ctr) noexcept {
+  const std::size_t from = first + 1;
+  for (std::size_t w = word_index(from); w < words; ++w) {
+    std::uint64_t m = mask[w];
+    if (w == word_index(from)) m &= ~std::uint64_t{0} << (from % bits::kWordBits);
+    for (; m != 0; m &= m - 1) {
+      const std::size_t y = w * bits::kWordBits + static_cast<std::size_t>(__builtin_ctzll(m));
+      ctr.intersection_words += words;
+      if (popcount_and(lg.row(static_cast<int>(y)), mask, words) + 1 != size) return std::nullopt;
+    }
+  }
+  return closed_form_cliques(size, c, ctr);
+}
+
+/// Counting's closed form (DESIGN.md, "Counting closed form"): a complete
+/// candidate set of `size` members, the lowest `first`, holds exactly
+/// C(size, c) c-cliques, returned without walking it. Inline, one masked
+/// popcount tests `first`; nullopt — walk the set — when it is incomplete or
+/// C(size, c) overflows count_t.
+template <int kWords>
+std::optional<count_t> closed_form_count(const LocalGraph& lg, const std::uint64_t* mask,
+                                         std::size_t words, std::uint64_t size,
+                                         std::size_t first, int c, LocalCounters& ctr) noexcept {
+  ctr.intersection_words += words;
+  if (popcount_and(lg.row(static_cast<int>(first)), mask, words) + 1 != size) return std::nullopt;
+  return complete_set_count<kWords>(lg, mask, words, size, first, c, ctr);
+}
+
 /// Emits one complete clique from the listing stack; returns false when the
 /// callback requests early termination.
 bool emit(SearchContext& ctx) {
@@ -178,6 +216,13 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
   const LocalGraph& lg = *ctx.lg;
   const std::size_t words = row_words<kWords>(lg);
   const bool listing = ctx.callback != nullptr;
+
+  // A count takes a complete I in closed form instead of walking it.
+  if (!listing && c >= 3 && !I.empty()) {
+    if (const std::optional<count_t> n = closed_form_count<kWords>(
+            lg, I_mask, words, I.size(), static_cast<std::size_t>(I[0]), c, ctr))
+      return *n;
+  }
 
   // Base case c == 2 (line 4): every edge inside I is a clique.
   if (c == 2) {
@@ -256,9 +301,10 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
         ctx.clique_stack.push_back(ctx.member_to_orig[a]);
         ctx.clique_stack.push_back(ctx.member_to_orig[b]);
       }
-      total += search_cliques<kWords>(
-          ctx, std::span<const int>(next, static_cast<std::size_t>(pos)), community, c - 2,
-          level + 1);
+      add_count(total,
+                search_cliques<kWords>(ctx, std::span<const int>(next, static_cast<std::size_t>(pos)),
+                                       community, c - 2, level + 1),
+                ctr);
       if (listing) {
         ctx.clique_stack.pop_back();
         ctx.clique_stack.pop_back();
@@ -289,6 +335,11 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
   const LocalGraph& lg = *ctx.lg;
   const std::size_t words = row_words<kWords>(lg);
   const bool listing = ctx.callback != nullptr;
+  if (!listing && !I.empty()) {
+    if (const std::optional<count_t> n = closed_form_count<kWords>(
+            lg, I_mask, words, I.size(), static_cast<std::size_t>(I[0]), c, ctr))
+      return *n;
+  }
   const int t = static_cast<int>(I.size());
   const int gap = ctx.prune ? c - 2 : 0;
   std::uint64_t* community = ctx.mask_at(level);
@@ -331,9 +382,11 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
           ctx.clique_stack.push_back(ctx.member_to_orig[b]);
           ctx.clique_stack.push_back(ctx.member_to_orig[x]);
         }
-        total += search_cliques_tri<kWords>(
-            ctx, std::span<const int>(next, static_cast<std::size_t>(pos)), inner, c - 3,
-            level + 2);
+        add_count(total,
+                  search_cliques_tri<kWords>(
+                      ctx, std::span<const int>(next, static_cast<std::size_t>(pos)), inner,
+                      c - 3, level + 2),
+                  ctr);
         if (listing) {
           ctx.clique_stack.pop_back();
           ctx.clique_stack.pop_back();
@@ -346,10 +399,12 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
 }
 
 /// Vertex growth: pick the next clique vertex x ascending (= respecting the
-/// orientation), descend into mask ∩ N(x) ∩ {> x} with c - 1. `level`
-/// indexes the mask scratch and must leave room for c - 2 further levels.
+/// orientation), descend into mask ∩ N(x) ∩ {> x} with c - 1. `size` is
+/// |mask|, handed down by the caller that built it. `level` indexes the mask
+/// scratch and must leave room for c - 2 further levels.
 template <int kWords>
-count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
+count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, std::uint64_t size,
+                              int c, int level) {
   assert(c >= 1);
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -375,6 +430,20 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
 
   std::uint64_t* next = ctx.mask_at(level);
   count_t total = 0;
+  // A count takes a complete mask in closed form. Testing the lowest
+  // member first, at the call's entry rather than inside the loop below,
+  // keeps the loop exactly as lean as a listing's.
+  if (!listing && c >= 3 && size > 0) {
+    std::size_t w0 = 0;
+    if constexpr (kWords != 1) {
+      while (mask[w0] == 0) ++w0;
+    }
+    const std::size_t first =
+        w0 * bits::kWordBits + static_cast<std::size_t>(__builtin_ctzll(mask[w0]));
+    if (const std::optional<count_t> n =
+            closed_form_count<kWords>(lg, mask, words, size, first, c, ctr))
+      return *n;
+  }
   bits::for_each_bit(mask, words, [&](std::size_t x) {
     if (ctx.poll_stop()) return;
     // next = candidates after x that are adjacent to x, count fused in.
@@ -401,7 +470,7 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
     if (isz >= static_cast<std::uint64_t>(c - 1)) {
       ++ctr.edges_matched;
       if (listing) ctx.clique_stack.push_back(ctx.member_to_orig[x]);
-      total += search_cliques_vertex<kWords>(ctx, next, c - 1, level + 1);
+      add_count(total, search_cliques_vertex<kWords>(ctx, next, isz, c - 1, level + 1), ctr);
       if (listing) ctx.clique_stack.pop_back();
     }
   });
@@ -446,8 +515,9 @@ count_t vertex_all(SearchContext& ctx, int c) {
   ctx.ensure_capacity(n, c + 1, words);
   std::uint64_t* universe = ctx.mask_at(c);
   bits::fill_prefix(universe, static_cast<std::size_t>(n), static_cast<std::size_t>(words));
-  return words == 1 ? search_cliques_vertex<1>(ctx, universe, c, 0)
-                    : search_cliques_vertex<0>(ctx, universe, c, 0);
+  const auto size = static_cast<std::uint64_t>(n);
+  return words == 1 ? search_cliques_vertex<1>(ctx, universe, size, c, 0)
+                    : search_cliques_vertex<0>(ctx, universe, size, c, 0);
 }
 
 }  // namespace

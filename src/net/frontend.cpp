@@ -147,6 +147,8 @@ LineFrontEnd::LineFrontEnd(const CliqueService& service, AnswerCache* cache,
   answered_ = &reg.counter("c3_answered_total", instance_label_);
   cache_hits_ = &reg.counter("c3_cache_hits_total", instance_label_);
   errors_ = &reg.counter("c3_errors_total", instance_label_);
+  recursive_calls_ = &reg.counter("c3_search_recursive_calls_total", instance_label_);
+  closed_form_sets_ = &reg.counter("c3_closed_form_sets_total", instance_label_);
   admission_wait_ = &reg.histogram("c3_admission_wait_seconds");
 }
 
@@ -177,6 +179,8 @@ std::string LineFrontEnd::stats_line() const {
           " cache_evictions=" + std::to_string(s.cache.evictions) +
           " cache_entries=" + std::to_string(s.cache.entries) +
           " cache_cross_k_hits=" + std::to_string(s.cache.cross_k_hits);
+  line += " recursive_calls=" + std::to_string(s.recursive_calls) +
+          " closed_form_sets=" + std::to_string(s.closed_form_sets);
   const bits::KernelBackend backend = bits::active_kernel_backend();
   line += std::string(" kernel=") + bits::kernel_backend_name(backend) +
           " search=" + search_build_name(backend);
@@ -310,6 +314,8 @@ LineFrontEnd::Reply LineFrontEnd::process(std::string_view raw) {
       const Admission slot(*this, id, trace.get());  // bounded per-graph execution
       answer = service_->run(id, query, trace.get());
     }
+    recursive_calls_->add(answer.stats.recursive_calls);
+    closed_form_sets_->add(answer.stats.closed_form_sets);
     if (cache_ != nullptr) (void)cache_->insert(key, answer);  // refuses truncated
     answered_->add();
     obs::TraceContext::Scope format_span(trace.get(), obs::Stage::Format);
@@ -328,6 +334,8 @@ FrontEndStats LineFrontEnd::stats() const {
   s.answered = answered_->value();
   s.cache_hits = cache_hits_->value();
   s.errors = errors_->value();
+  s.recursive_calls = recursive_calls_->value();
+  s.closed_form_sets = closed_form_sets_->value();
   {
     const std::lock_guard<std::mutex> lock(gate_mutex_);
     for (const auto& [id, gate] : gates_) s.peak_inflight = std::max(s.peak_inflight, gate.peak);

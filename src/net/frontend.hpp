@@ -88,6 +88,10 @@ struct FrontEndStats {
   std::uint64_t errors = 0;     ///< error: responses
   int peak_inflight = 0;        ///< max concurrent executions on any graph
   AnswerCacheStats cache;       ///< zeroed when no cache is attached
+  /// Search work of the executed (not cached) answers: recursive calls, and
+  /// the complete candidate sets counts took in closed form without a walk.
+  std::uint64_t recursive_calls = 0;
+  std::uint64_t closed_form_sets = 0;
 };
 
 class LineFrontEnd {
@@ -178,6 +182,8 @@ class LineFrontEnd {
   obs::Counter* answered_;
   obs::Counter* cache_hits_;
   obs::Counter* errors_;
+  obs::Counter* recursive_calls_;
+  obs::Counter* closed_form_sets_;
   obs::Histogram* admission_wait_;  // c3_admission_wait_seconds (shared)
 };
 

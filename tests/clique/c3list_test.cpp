@@ -78,8 +78,10 @@ TEST(C3List, PruningAblationPreservesCounts) {
 }
 
 TEST(C3List, PruningActuallyPrunesOnLargeK) {
-  // For k close to gamma the distance criterion rejects most pairs.
-  const Graph g = complete_graph(16);
+  // For k close to gamma the distance criterion rejects most pairs. The
+  // input must make the count walk: a complete graph such as K16 is
+  // counted in closed form and probes no pair at all.
+  const Graph g = erdos_renyi(120, 5000, 1);
   CliqueOptions with, without;
   with.distance_pruning = true;
   without.distance_pruning = false;
@@ -145,11 +147,15 @@ TEST(C3List, EmptyAndTinyGraphs) {
 
 TEST(C3List, PerSourceBuildWalksTheSameSearchTree) {
   // c3List builds one local graph per source u, over N+(u), and searches
-  // each community C(u->v) as a candidate subset of it. The recursion must
-  // walk exactly the tree that a compact G[C(e)] per edge walks; these
-  // values were taken from that per-edge build. intersection_words is
-  // pinned only where s-tilde <= 64 (every universe one word): a wider
-  // source universe spans more words per leaf count than a compact one.
+  // each community C(u->v) as a candidate subset of it. A count walks
+  // exactly the tree a compact G[C(e)] per edge walks, minus the subtrees
+  // of complete candidate sets, which it takes in closed form: count,
+  // top_level_tasks and leaf_work are the values the per-edge build walked
+  // to, and the other counters are pinned from the closed-form search.
+  // intersection_words is pinned only where s-tilde <= 64 (every universe
+  // one word): a wider source universe spans more words per popcount than
+  // a compact one. (CountingClosedForm.ListingWalksTheSameTreeAsBefore pins the
+  // full tree a listing still walks.)
   struct Pinned {
     int k;
     count_t count, tasks, calls, probed, matched, words, leaf;
@@ -164,26 +170,29 @@ TEST(C3List, PerSourceBuildWalksTheSameSearchTree) {
        true,
        {{3, 819, 333, 333, 0, 0, 0, 819},
         {4, 314, 217, 217, 0, 0, 703, 314},
-        {5, 31, 134, 162, 492, 159, 159, 31},
-        {6, 1, 76, 79, 223, 66, 72, 1},
-        {7, 0, 37, 37, 88, 31, 31, 0},
-        {8, 0, 16, 16, 29, 8, 8, 0}}},
+        {5, 31, 134, 161, 491, 158, 296, 31},
+        {6, 1, 76, 79, 223, 66, 148, 1},
+        {7, 0, 37, 37, 88, 31, 68, 0},
+        {8, 0, 16, 16, 29, 8, 24, 0}}},
       {testing::with_planted_clique(social_like(200, 1200, 0.5, 7), 16),
        true,
        {{3, 1435, 587, 587, 0, 0, 0, 1435},
         {4, 2100, 303, 303, 0, 0, 1151, 2100},
-        {5, 4409, 177, 1579, 1659, 1461, 1461, 4409},
-        {6, 8012, 121, 1126, 1114, 1031, 5043, 8012},
-        {7, 11440, 78, 5798, 5751, 5727, 5727, 11440},
-        {8, 12870, 49, 3547, 3502, 3498, 12936, 12870}}},
-      // s-tilde = 69: source universes span two words. k stops at 6 here;
-      // k = 7 and 8 count 1.2e9 and 9.4e9 cliques, seconds per run.
+        {5, 4409, 177, 200, 280, 82, 724, 4409},
+        {6, 8012, 121, 122, 110, 27, 578, 8012},
+        {7, 11440, 78, 78, 31, 7, 470, 11440},
+        {8, 12870, 49, 49, 4, 0, 394, 12870}}},
+      // s-tilde = 69: source universes span two words. The walk took
+      // seconds per run at k = 7 and 8 (1.2e9 and 9.4e9 cliques); the closed
+      // form takes the K70's complete sets in one step each.
       {testing::with_planted_clique(social_like(300, 1500, 0.5, 11), 70),
        false,
        {{3, 56007, 2903, 2903, 0, 0, 0, 56007},
         {4, 918453, 2553, 2553, 0, 0, 0, 918453},
-        {5, 12106425, 2380, 867890, 865793, 865563, 0, 12106425},
-        {6, 131123399, 2232, 817331, 815242, 815139, 0, 131123399}}},
+        {5, 12106425, 2380, 2566, 469, 239, 0, 12106425},
+        {6, 131123399, 2232, 2326, 237, 134, 0, 131123399},
+        {7, 1198788303, 2136, 2183, 124, 74, 0, 1198788303},
+        {8, 9440371298, 2051, 2075, 64, 45, 0, 9440371298}}},
   };
   CliqueOptions kclist;
   kclist.algorithm = Algorithm::KCList;

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "clique/bruteforce.hpp"
 #include "graph/gen/generators.hpp"
 
@@ -26,6 +30,34 @@ TEST(Combinatorics, BinomialPascalRule) {
           << n << " choose " << k;
     }
   }
+}
+
+TEST(Combinatorics, BinomialIsExactUpToTheTopOf64Bits) {
+  // Pascal's rule in 128 bits is the reference. The old 64-bit intermediate
+  // returned 66,050,867,754,679,844 for C(64, 32) and wrapped C(68, 34).
+  EXPECT_EQ(binomial(64, 32), 1'832'624'140'942'590'534u);
+  std::vector<unsigned __int128> row{1};
+  for (count_t n = 1; n <= 68; ++n) {
+    std::vector<unsigned __int128> next(n + 1, 1);
+    for (count_t k = 1; k < n; ++k) next[k] = row[k - 1] + row[k];
+    row = std::move(next);
+    if (n < 62) continue;
+    for (count_t k = 0; k <= n + 1; ++k) {
+      const unsigned __int128 expect = k <= n ? row[k] : 0;
+      const std::optional<count_t> got = checked_binomial(n, k);
+      if (expect > std::numeric_limits<count_t>::max()) {
+        EXPECT_FALSE(got.has_value()) << n << " choose " << k;
+        EXPECT_EQ(binomial(n, k), std::numeric_limits<count_t>::max()) << n << " choose " << k;
+      } else {
+        ASSERT_TRUE(got.has_value()) << n << " choose " << k;
+        EXPECT_EQ(*got, static_cast<count_t>(expect)) << n << " choose " << k;
+        EXPECT_EQ(binomial(n, k), static_cast<count_t>(expect)) << n << " choose " << k;
+      }
+    }
+  }
+  // The largest row that fits whole is n = 67; C(68, 34) does not.
+  EXPECT_TRUE(checked_binomial(67, 33).has_value());
+  EXPECT_FALSE(checked_binomial(68, 34).has_value());
 }
 
 TEST(Combinatorics, TuranCliquesMatchBruteForce) {

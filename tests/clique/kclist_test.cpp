@@ -100,8 +100,9 @@ TEST(KCList, SubDegreePartitionWalksTheSameSearchTree) {
   // The kClist search tree of this input — calls, descents, leaves — is the
   // same however a level finds N+(v) ∩ S_l; these values pin it, so a
   // partition that loses or misplaces survivors, or a moved prune, shows
-  // here even where the counts still agree. pairs_probed is not pinned: it
-  // measures how the survivors are found.
+  // here even where the counts still agree. A count takes a complete S_l in
+  // closed form (13 sets at k = 5), so its tree stops there. pairs_probed
+  // is not pinned: it measures how the survivors are found.
   const int saved = dense_subproblem_min_vertices();
   set_dense_subproblem_min_vertices(1 << 30);
   const Graph g = erdos_renyi(60, 500, 4);
@@ -110,7 +111,7 @@ TEST(KCList, SubDegreePartitionWalksTheSameSearchTree) {
     int k;
     count_t count, recursive_calls, edges_matched, leaf_work;
   };
-  for (const Pinned& p : {Pinned{4, 314, 314, 819, 314}, Pinned{5, 31, 224, 1065, 31}}) {
+  for (const Pinned& p : {Pinned{4, 314, 314, 819, 314}, Pinned{5, 31, 210, 1023, 31}}) {
     const CliqueResult r = engine.count(p.k);
     EXPECT_EQ(r.count, p.count) << "k=" << p.k;
     EXPECT_EQ(r.stats.recursive_calls, p.recursive_calls) << "k=" << p.k;

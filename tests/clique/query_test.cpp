@@ -22,6 +22,7 @@
 #include "clique/api.hpp"
 #include "clique/combinatorics.hpp"
 #include "clique/engine.hpp"
+#include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
 #include "parallel/parallel.hpp"
 #include "util/timer.hpp"
@@ -615,9 +616,18 @@ TEST(QueryRun, UnfiredBudgetKeepsTheCountingPath) {
 TEST(QueryRun, CrossThreadCancelCutsARunningCount) {
   // Another thread flips the token while the count runs; the workers see it
   // at their next top-level task or strided poll and return a truncated
-  // partial count. K_60 has C(60, 13) ~ 5.6e12 13-cliques, far more than any
-  // test could count, so the flip always lands mid-search.
-  const Graph g = complete_graph(60);
+  // partial count. K_60 minus a perfect matching has C(30, 13) * 2^13 ~
+  // 9.8e11 13-cliques, far more than any test could count, so the flip
+  // always lands mid-search. (K_60 itself is counted in closed form in
+  // microseconds.) Every candidate set holding a matched pair is
+  // incomplete, so the count walks.
+  EdgeList edges;
+  for (node_t u = 0; u < 60; ++u) {
+    for (node_t v = u + 1; v < 60; ++v) {
+      if (v != (u ^ 1u)) edges.push_back(Edge{u, v});
+    }
+  }
+  const Graph g = build_graph(edges, 60);
   for (const Algorithm alg : prepared_algorithms()) {
     CliqueOptions opts;
     opts.algorithm = alg;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "clique/answer_cache.hpp"
+#include "clique/combinatorics.hpp"
 #include "clique/engine.hpp"
 #include "clique/query.hpp"
 #include "clique/recursive.hpp"
@@ -258,6 +259,39 @@ TEST(FrontEnd, StatsNamesKernelAndSearchBuild) {
     }
   }
   bits::set_kernel_backend(saved);
+}
+
+TEST(FrontEnd, StatsLineCountsClosedFormSets) {
+  // The stats line sums the search work of executed answers, so a count
+  // whose work counters sit far below its answer can be explained from
+  // outside: K12's count 6 is closed-form sets, not walked leaves.
+  CliqueService service;
+  const Graph k12 = complete_graph(12);
+  service.add_graph("k12", k12);
+  LineFrontEnd fe(service, nullptr);
+  EXPECT_EQ(fe.process("k12 count 6").line, "count 6: 924 cliques");
+  const CliqueStats direct = PreparedGraph(k12, {}).count(6).stats;
+  const FrontEndStats s = fe.stats();
+  EXPECT_GT(s.closed_form_sets, 0u);
+  EXPECT_EQ(s.closed_form_sets, direct.closed_form_sets);
+  EXPECT_EQ(s.recursive_calls, direct.recursive_calls);
+  const std::string line = fe.process("stats").line;
+  EXPECT_NE(line.find(" recursive_calls=" + std::to_string(s.recursive_calls) +
+                      " closed_form_sets=" + std::to_string(s.closed_form_sets)),
+            std::string::npos)
+      << line;
+}
+
+TEST(FrontEnd, CountOverflowIsRefusedNotWrapped) {
+  // K68 holds C(68, 36) ~ 2.2e19 36-cliques, past the 64-bit count range.
+  CliqueService service;
+  service.add_graph("k68", complete_graph(68));
+  LineFrontEnd fe(service, nullptr);
+  const std::string reply = fe.process("k68 count 36").line;
+  EXPECT_EQ(reply.rfind("error: ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("overflow"), std::string::npos) << reply;
+  EXPECT_EQ(fe.stats().errors, 1u);
+  EXPECT_EQ(fe.process("k68 count 30").line, "count 30: " + std::to_string(binomial(68, 30)) + " cliques");
 }
 
 TEST(FrontEnd, StatsSuffixHookAppends) {
