@@ -4,7 +4,10 @@
 //
 // Work is measured with the instrumented counters (candidate pairs probed +
 // intersection words + leaf work — the three cost components of the
-// analysis, Lemmas 2.3 / A.1 / A.2). For each variant the table prints
+// analysis, Lemmas 2.3 / A.1 / A.2) of a listing run with a no-op callback:
+// listing walks Algorithm 2's whole search tree, the walk the theorems bound,
+// while a count takes complete candidate sets in closed form and skips their
+// subtrees (DESIGN.md, "Counting closed form"). For each variant the table prints
 // measured work W(k) and the ratio W(k) / bound(k) with
 // bound(k) = m * ((gamma + 4 - k)/2)^(k-2): if the theorem holds, the ratio
 // stays bounded as k grows (the bound may be loose, so ratios well below 1
@@ -20,6 +23,8 @@ namespace {
 
 using namespace c3;
 
+const CliqueCallback walk_only = [](std::span<const node_t>) { return true; };
+
 count_t measured_work(const CliqueStats& s) {
   return s.pairs_probed + s.intersection_words + s.leaf_work;
 }
@@ -27,7 +32,7 @@ count_t measured_work(const CliqueStats& s) {
 void sweep(const char* variant, const Graph& g, const CliqueOptions& opts, int kmin, int kmax,
            Table& table, bool cd_bound) {
   for (int k = kmin; k <= kmax; ++k) {
-    const CliqueResult r = count_cliques(g, k, opts);
+    const CliqueResult r = list_cliques(g, k, walk_only, opts);
     const double gamma = static_cast<double>(r.stats.gamma);
     const double bound = static_cast<double>(g.num_edges()) * static_cast<double>(k) *
                          theorem21_growth(gamma, k);
@@ -50,7 +55,8 @@ int main(int argc, char** argv) {
 
   std::printf("# Table 1 — empirical work-bound validation\n");
   std::printf("# measured = pairs probed + intersection words + leaf work (the cost terms of\n");
-  std::printf("# the analysis); bound = k*m*((gamma+4-k)/2)^(k-2) per Theorem 2.1/4.3.\n");
+  std::printf("# the analysis) of a listing walk; bound = k*m*((gamma+4-k)/2)^(k-2) per\n");
+  std::printf("# Theorem 2.1/4.3.\n");
   std::printf("# Theorem holds  <=>  ratio = measured/bound stays bounded as k grows.\n\n");
 
   const c3::bench::Dataset ds = c3::bench::bio_sc_ht_like(scale);

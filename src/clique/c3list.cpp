@@ -1,6 +1,5 @@
 #include "clique/c3list.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "clique/local_graph.hpp"
@@ -16,25 +15,18 @@ namespace {
 /// Fills `lg` with G[N+(u)] over the first `s` out-neighbours `out` of u
 /// (local id j for out[j], so local `<` is rank order), straight from u's
 /// communities: b ∈ C(u→out[j]) exactly when b→out[j] is an arc inside
-/// N+(u), so community j is row j's lower half. Each member is located in
-/// out[0, j) from its predecessor's slot: by binary search, or by a linear
-/// merge when the community fills at least an eighth of out[0, j) — then
-/// the scan is O(j) and cheaper than |C_j| searches. O(T_u log s) in all.
-/// Appends every community's local ids to `ids`, in arc order.
+/// N+(u), so community j is row j's lower half. Each community is located
+/// in out[0, j) by one linear merge (both are in rank order): O(s) per arc,
+/// O(s²) per source. Appends every community's local ids to `ids`, in arc
+/// order.
 void build_source_graph(std::span<const node_t> out, const EdgeCommunities& comms, edge_t first,
                         int s, LocalGraph& lg, std::vector<int>& ids) {
   lg.reset(s);
   ids.clear();
   for (int j = 0; j < s; ++j) {
-    const auto members = comms.members(first + static_cast<edge_t>(j));
-    const bool merge = members.size() * 8 >= static_cast<std::size_t>(j);
     auto lo = out.begin();
-    for (const node_t b : members) {
-      if (merge) {
-        while (*lo != b) ++lo;  // b is in out[0, j)
-      } else {
-        lo = std::lower_bound(lo, out.begin() + j, b);
-      }
+    for (const node_t b : comms.members(first + static_cast<edge_t>(j))) {
+      while (*lo != b) ++lo;  // b is in out[0, j)
       const int a = static_cast<int>(lo - out.begin());
       lg.add_edge(a, j);
       ids.push_back(a);

@@ -8,8 +8,8 @@
 // (k-2)-cliques once per such arc e = u->v, with C(e) as the top-level
 // candidates. Every community of an arc out of u lies in N+(u), and
 // b ∈ C(u->v) exactly when b->v is an arc inside N+(u), so the rows come
-// straight from u's communities, in O(T_u log s-tilde) for the T_u
-// triangles whose first vertex is u. At k = 3 nothing is built: every
+// straight from u's communities, each located in N+(u) by one linear
+// merge: O(d+(u)²) per source. At k = 3 nothing is built: every
 // community member closes a triangle. Work/depth bounds: Theorem 2.1,
 // instantiated by the chosen order per Table 1; a top-level task runs its
 // source's arcs one after another, so its span is the sum over those arcs.
