@@ -1,8 +1,8 @@
-// Snapshot bench — the perf baseline for the PR 4 snapshot subsystem.
+// Snapshot bench — cold preparation vs snapshot open.
 //
 // For each smoke graph (the shared CI stand-ins plus one larger social
-// graph, the "largest smoke graph" the acceptance gate looks at) it
-// measures the offline-prepare / online-serve split both ways:
+// graph, whose ratio the summary line reports) it measures the
+// offline-prepare / online-serve split both ways:
 //
 //   cold      — construct a PreparedGraph and force full preparation
 //               (prepare() + the upper-bound artifact), what every serving
@@ -11,7 +11,8 @@
 //               verification), what a serving process pays instead.
 //
 // Reported per graph: best-of-reps prepare vs open seconds (and their
-// ratio — the acceptance criterion is >= 10x on the largest graph),
+// ratio, reported only: no ratio fails the run, and it moves whenever
+// preparation gets cheaper or dearer),
 // first-query latency on both engines, snapshot file size, and the
 // resident-set growth of cold preparation vs snapshot serving.
 // Counts for k = 3..6 are cross-checked between both engines (non-zero exit

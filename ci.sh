@@ -75,7 +75,7 @@ run_config() {
     "${dir}/bench/bench_prepared_sweep" --out BENCH_pr2.json
     # Snapshot smoke: cold prepare vs mmap open per smoke graph, counts
     # cross-checked cold vs loaded. Emits BENCH_pr4.json (open/prepare
-    # speedup — the acceptance bar is >= 10x on the largest graph).
+    # speedup, reported, not gated).
     echo "==== [${name}] bench smoke (snapshot) ===="
     if [ ! -x "${dir}/bench/bench_snapshot" ]; then
       echo "bench_snapshot not built (is C3_BUILD_BENCH off?)" >&2

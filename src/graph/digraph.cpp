@@ -31,14 +31,10 @@ edge_t Digraph::arc_id(node_t u, node_t v) const noexcept {
 }
 
 Digraph Digraph::from_parts(ArrayStore<edge_t> out_offsets, ArrayStore<node_t> out_adj,
-                            ArrayStore<edge_t> in_offsets, ArrayStore<node_t> in_adj,
-                            ArrayStore<node_t> arc_src, ArrayStore<node_t> rank_to_orig) {
+                            ArrayStore<node_t> rank_to_orig) {
   Digraph dag;
   dag.out_offsets_ = std::move(out_offsets);
   dag.out_adj_ = std::move(out_adj);
-  dag.in_offsets_ = std::move(in_offsets);
-  dag.in_adj_ = std::move(in_adj);
-  dag.arc_src_ = std::move(arc_src);
   dag.rank_to_orig_ = std::move(rank_to_orig);
   return dag;
 }
@@ -60,51 +56,31 @@ Digraph Digraph::orient(const Graph& g, std::span<const node_t> order) {
 
   // Out-degree in rank space: for original vertex v at rank r, count
   // neighbors with higher rank.
-  std::vector<edge_t> out_deg(n, 0), in_deg(n, 0);
+  std::vector<edge_t> out_deg(n, 0);
   parallel_for(0, n, [&](std::size_t v) {
     edge_t od = 0;
     for (const node_t w : g.neighbors(static_cast<node_t>(v))) od += rank[w] > rank[v] ? 1 : 0;
     out_deg[rank[v]] = od;
-    in_deg[rank[v]] = g.degree(static_cast<node_t>(v)) - od;
   });
 
   dag.out_offsets_.resize(n + 1);
   dag.out_offsets_[n] = exclusive_scan<edge_t>(out_deg, std::span<edge_t>(dag.out_offsets_.data(), n));
-  dag.in_offsets_.resize(n + 1);
-  dag.in_offsets_[n] = exclusive_scan<edge_t>(in_deg, std::span<edge_t>(dag.in_offsets_.data(), n));
-
   dag.out_adj_.resize(dag.out_offsets_[n]);
-  dag.in_adj_.resize(dag.in_offsets_[n]);
   assert(dag.out_adj_.size() == g.num_edges());
-  assert(dag.in_adj_.size() == g.num_edges());
 
-  // Fill adjacency in rank space and sort each slice ascending.
+  // Fill the out-lists in rank space and sort each slice ascending.
   parallel_for(
       0, n,
       [&](std::size_t r) {
         const node_t v = dag.rank_to_orig_[r];
-        edge_t opos = dag.out_offsets_[r];
-        edge_t ipos = dag.in_offsets_[r];
+        edge_t pos = dag.out_offsets_[r];
         for (const node_t w : g.neighbors(v)) {
-          if (rank[w] > r) {
-            dag.out_adj_[opos++] = rank[w];
-          } else {
-            dag.in_adj_[ipos++] = rank[w];
-          }
+          if (rank[w] > r) dag.out_adj_[pos++] = rank[w];
         }
         std::sort(dag.out_adj_.begin() + static_cast<std::ptrdiff_t>(dag.out_offsets_[r]),
-                  dag.out_adj_.begin() + static_cast<std::ptrdiff_t>(opos));
-        std::sort(dag.in_adj_.begin() + static_cast<std::ptrdiff_t>(dag.in_offsets_[r]),
-                  dag.in_adj_.begin() + static_cast<std::ptrdiff_t>(ipos));
+                  dag.out_adj_.begin() + static_cast<std::ptrdiff_t>(pos));
       },
       64);
-
-  // Arc source table for O(1) source lookup.
-  dag.arc_src_.resize(dag.out_adj_.size());
-  parallel_for(0, n, [&](std::size_t r) {
-    for (edge_t e = dag.out_offsets_[r]; e < dag.out_offsets_[r + 1]; ++e)
-      dag.arc_src_[e] = static_cast<node_t>(r);
-  });
 
   return dag;
 }

@@ -6,8 +6,10 @@
 // Vertices are *renamed into rank space*: vertex r of the Digraph is the
 // (r+1)-th vertex of the total order. This makes the order the natural `<`
 // on ids, so "vertices ordered between u and v" (the paper's pruning
-// criterion) is computable from ids/array indices alone, and both adjacency
-// directions can be kept sorted ascending for merge intersections.
+// criterion) is computable from ids/array indices alone, and each out-list
+// is kept sorted ascending for merge intersections. Only out-arcs are kept:
+// every search reads N+(u), and the communities are found from out-lists
+// alone (w joins C(u->v) when u->w and w->v).
 #pragma once
 
 #include <span>
@@ -37,17 +39,8 @@ class Digraph {
     return {out_adj_.data() + out_offsets_[u], out_adj_.data() + out_offsets_[u + 1]};
   }
 
-  /// In-neighbors of v (all have rank < v), sorted ascending.
-  [[nodiscard]] std::span<const node_t> in_neighbors(node_t v) const noexcept {
-    return {in_adj_.data() + in_offsets_[v], in_adj_.data() + in_offsets_[v + 1]};
-  }
-
   [[nodiscard]] node_t out_degree(node_t u) const noexcept {
     return static_cast<node_t>(out_offsets_[u + 1] - out_offsets_[u]);
-  }
-
-  [[nodiscard]] node_t in_degree(node_t v) const noexcept {
-    return static_cast<node_t>(in_offsets_[v + 1] - in_offsets_[v]);
   }
 
   /// Largest out-degree (the paper's s-tilde); bounds every community size
@@ -61,9 +54,6 @@ class Digraph {
   /// static_cast<edge_t>(-1) if absent.
   [[nodiscard]] edge_t arc_id(node_t u, node_t v) const noexcept;
 
-  /// Source vertex of arc `e` — O(1) via the arc source table.
-  [[nodiscard]] node_t arc_source(edge_t e) const noexcept { return arc_src_[e]; }
-
   /// Target vertex of arc `e`.
   [[nodiscard]] node_t arc_target(edge_t e) const noexcept { return out_adj_[e]; }
 
@@ -74,9 +64,6 @@ class Digraph {
 
   [[nodiscard]] std::span<const edge_t> raw_out_offsets() const noexcept { return out_offsets_; }
   [[nodiscard]] std::span<const node_t> raw_out_adjacency() const noexcept { return out_adj_; }
-  [[nodiscard]] std::span<const edge_t> raw_in_offsets() const noexcept { return in_offsets_; }
-  [[nodiscard]] std::span<const node_t> raw_in_adjacency() const noexcept { return in_adj_; }
-  [[nodiscard]] std::span<const node_t> raw_arc_sources() const noexcept { return arc_src_; }
 
   /// Orients `g` by a total order. `order[i]` is the vertex placed at rank i;
   /// it must be a permutation of all vertices.
@@ -87,17 +74,12 @@ class Digraph {
   /// memory). Invariants are the caller's responsibility.
   [[nodiscard]] static Digraph from_parts(ArrayStore<edge_t> out_offsets,
                                           ArrayStore<node_t> out_adj,
-                                          ArrayStore<edge_t> in_offsets, ArrayStore<node_t> in_adj,
-                                          ArrayStore<node_t> arc_src,
                                           ArrayStore<node_t> rank_to_orig);
 
  private:
   // ArrayStore so a snapshot-loaded Digraph can borrow mmap-backed sections.
   ArrayStore<edge_t> out_offsets_;  // n+1
   ArrayStore<node_t> out_adj_;      // m, per-vertex sorted, targets > source
-  ArrayStore<edge_t> in_offsets_;   // n+1
-  ArrayStore<node_t> in_adj_;       // m, per-vertex sorted, sources < target
-  ArrayStore<node_t> arc_src_;      // m, source of each arc id
   ArrayStore<node_t> rank_to_orig_; // n, rank -> original vertex id
 };
 

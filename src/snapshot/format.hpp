@@ -32,7 +32,7 @@
 namespace c3::snapshot {
 
 inline constexpr char kMagic[8] = {'c', '3', 's', 'n', 'a', 'p', '0', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::uint32_t kArtifactSchema = 1;
 
 /// Every section offset (and the first section's start) is aligned to this,
@@ -56,16 +56,13 @@ enum class SectionKind : std::uint32_t {
   GraphEndpoints = 3,    // Edge,   m
   DagOutOffsets = 4,     // edge_t, n+1
   DagOutAdjacency = 5,   // node_t, m
-  DagInOffsets = 6,      // edge_t, n+1
-  DagInAdjacency = 7,    // node_t, m
-  DagArcSources = 8,     // node_t, m
-  DagRankToOriginal = 9, // node_t, n
-  CommOffsets = 10,      // edge_t, m+1
-  CommMembers = 11,      // node_t, T
-  EdgeOrderOrder = 12,   // edge_t, m
-  EdgeOrderPos = 13,     // edge_t, m
-  EdgeOrderCandOffsets = 14,  // edge_t, m+1
-  EdgeOrderCandMembers = 15,  // node_t, T
+  DagRankToOriginal = 6, // node_t, n
+  CommOffsets = 7,       // edge_t, m+1
+  CommMembers = 8,       // node_t, T
+  EdgeOrderOrder = 9,    // edge_t, m
+  EdgeOrderPos = 10,     // edge_t, m
+  EdgeOrderCandOffsets = 11,  // edge_t, m+1
+  EdgeOrderCandMembers = 12,  // node_t, T (the last kind; readers refuse larger ones)
 };
 
 [[nodiscard]] constexpr const char* section_name(SectionKind kind) noexcept {
@@ -76,9 +73,6 @@ enum class SectionKind : std::uint32_t {
     case SectionKind::GraphEndpoints: return "graph.endpoints";
     case SectionKind::DagOutOffsets: return "dag.out_offsets";
     case SectionKind::DagOutAdjacency: return "dag.out_adjacency";
-    case SectionKind::DagInOffsets: return "dag.in_offsets";
-    case SectionKind::DagInAdjacency: return "dag.in_adjacency";
-    case SectionKind::DagArcSources: return "dag.arc_sources";
     case SectionKind::DagRankToOriginal: return "dag.rank_to_original";
     case SectionKind::CommOffsets: return "communities.offsets";
     case SectionKind::CommMembers: return "communities.members";
@@ -140,8 +134,8 @@ inline constexpr std::uint32_t kOptionTriangleGrowth = 1u << 1;
 
 /// The section checksum: FNV-1a folded over 64-bit words (little-endian
 /// loads, zero-padded tail) instead of bytes — one multiply per 8 bytes, so
-/// verifying a whole snapshot at open() is a multi-GB/s scan, far below both
-/// artifact-rebuild cost and the 10x open-vs-prepare acceptance bar.
+/// verifying a whole snapshot at open() is a multi-GB/s scan, far below the
+/// artifact-rebuild cost it replaces.
 /// Dependency-free and stable: it is part of the file format (bump
 /// kFormatVersion if it ever changes).
 [[nodiscard]] inline std::uint64_t checksum64(const void* data, std::size_t bytes,

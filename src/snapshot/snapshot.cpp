@@ -40,7 +40,6 @@ std::uint32_t expected_elem_bytes(SectionKind kind) {
     case SectionKind::GraphOffsets:
     case SectionKind::GraphEdgeIds:
     case SectionKind::DagOutOffsets:
-    case SectionKind::DagInOffsets:
     case SectionKind::CommOffsets:
     case SectionKind::EdgeOrderOrder:
     case SectionKind::EdgeOrderPos:
@@ -50,8 +49,6 @@ std::uint32_t expected_elem_bytes(SectionKind kind) {
       return sizeof(Edge);
     case SectionKind::GraphAdjacency:
     case SectionKind::DagOutAdjacency:
-    case SectionKind::DagInAdjacency:
-    case SectionKind::DagArcSources:
     case SectionKind::DagRankToOriginal:
     case SectionKind::CommMembers:
     case SectionKind::EdgeOrderCandMembers:
@@ -224,6 +221,21 @@ const SectionRecord& require_section(const Layout& lay, const std::filesystem::p
   fail(path, std::string("missing section ") + section_name(kind));
 }
 
+/// Refuses an offsets section whose final entry is not what the header's
+/// graph shape dictates: the adjacency views read up to it, so a patched
+/// value would send them past their section even with checksums off.
+void require_final_offset(const MappedFile& map, const std::filesystem::path& path,
+                          const SectionRecord& offsets, std::uint64_t n, std::uint64_t expected,
+                          const char* shape) {
+  if (offsets.count != n + 1 || n == 0) return;
+  const edge_t last = section_span<edge_t>(map, offsets)[n];
+  if (last != expected) {
+    fail(path, std::string(section_name(static_cast<SectionKind>(offsets.kind))) +
+                   ": final offset " + u64s(last) + " disagrees with the header's " + shape +
+                   " = " + u64s(expected));
+  }
+}
+
 CliqueOptions options_from_header(const SnapshotHeader& h, const std::filesystem::path& path) {
   if (h.algorithm > static_cast<std::uint32_t>(Algorithm::BruteForce) ||
       h.vertex_order > static_cast<std::uint32_t>(VertexOrderKind::ById) ||
@@ -296,9 +308,6 @@ void write(const std::filesystem::path& path, const PreparedGraph& engine) {
     h.artifact_mask |= kArtifactDag;
     add_section(sections, SectionKind::DagOutOffsets, dag->raw_out_offsets());
     add_section(sections, SectionKind::DagOutAdjacency, dag->raw_out_adjacency());
-    add_section(sections, SectionKind::DagInOffsets, dag->raw_in_offsets());
-    add_section(sections, SectionKind::DagInAdjacency, dag->raw_in_adjacency());
-    add_section(sections, SectionKind::DagArcSources, dag->raw_arc_sources());
     add_section(sections, SectionKind::DagRankToOriginal, dag->rank_to_original());
   }
   if (const EdgeCommunities* comms = engine.communities_if_built()) {
@@ -462,13 +471,7 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
   const SectionRecord& g_adj = require_section(lay, path, SectionKind::GraphAdjacency, 2 * m);
   const SectionRecord& g_ids = require_section(lay, path, SectionKind::GraphEdgeIds, 2 * m);
   const SectionRecord& g_end = require_section(lay, path, SectionKind::GraphEndpoints, m);
-  if (g_off.count == n + 1 && n > 0) {
-    const auto offsets = section_span<edge_t>(impl.map, g_off);
-    if (offsets[n] != 2 * m) {
-      fail(path, "graph.offsets: final offset " + u64s(offsets[n]) +
-                     " disagrees with the header's 2m = " + u64s(2 * m));
-    }
-  }
+  require_final_offset(impl.map, path, g_off, n, 2 * m, "2m");
   impl.graph = Graph::from_parts(view_of<edge_t>(impl.map, g_off), view_of<node_t>(impl.map, g_adj),
                                  view_of<edge_t>(impl.map, g_ids), view_of<Edge>(impl.map, g_end));
 
@@ -476,13 +479,10 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
   if ((h.artifact_mask & kArtifactDag) != 0) {
     const SectionRecord& oo = require_section(lay, path, SectionKind::DagOutOffsets, n + 1, n == 0);
     const SectionRecord& oa = require_section(lay, path, SectionKind::DagOutAdjacency, m);
-    const SectionRecord& io = require_section(lay, path, SectionKind::DagInOffsets, n + 1, n == 0);
-    const SectionRecord& ia = require_section(lay, path, SectionKind::DagInAdjacency, m);
-    const SectionRecord& as = require_section(lay, path, SectionKind::DagArcSources, m);
+    require_final_offset(impl.map, path, oo, n, m, "m");
     const SectionRecord& ro = require_section(lay, path, SectionKind::DagRankToOriginal, n);
     arts.dag = Digraph::from_parts(view_of<edge_t>(impl.map, oo), view_of<node_t>(impl.map, oa),
-                                   view_of<edge_t>(impl.map, io), view_of<node_t>(impl.map, ia),
-                                   view_of<node_t>(impl.map, as), view_of<node_t>(impl.map, ro));
+                                   view_of<node_t>(impl.map, ro));
   }
   if ((h.artifact_mask & kArtifactCommunities) != 0) {
     const SectionRecord& co = require_section(lay, path, SectionKind::CommOffsets, m + 1);

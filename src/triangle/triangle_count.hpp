@@ -10,7 +10,7 @@ namespace c3 {
 /// Counts the triangles of the underlying undirected graph. Each triangle
 /// {a, b, c} with ranks a < b < c is counted once at its lowest arc (a, b)
 /// by intersecting the out-neighborhoods of a and b. O(m * max-out-degree)
-/// work, polylog depth over the arc-parallel loop.
+/// work over a per-source parallel loop (one task per a, walking b in N+(a)).
 [[nodiscard]] count_t count_triangles(const Digraph& dag);
 
 /// Invokes f(a, b, c) for every triangle, with a < b < c in rank space.

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -55,10 +57,20 @@ class SnapshotTest : public ::testing::Test {
     f.write(&b, 1);
   }
 
+  /// Overwrites the file at `offset` with the bytes of `value`.
+  template <typename T>
+  void patch(const std::filesystem::path& path, std::uint64_t offset, T value) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char*>(&value), sizeof value);
+  }
+
   /// The error message open() throws for `path`, or "" if it doesn't throw.
-  std::string open_error(const std::filesystem::path& path) {
+  std::string open_error(const std::filesystem::path& path,
+                         const snapshot::SnapshotOpenOptions& opts = {}) {
     try {
-      (void)snapshot::Snapshot::open(path);
+      (void)snapshot::Snapshot::open(path, opts);
     } catch (const std::runtime_error& e) {
       return e.what();
     }
@@ -140,8 +152,14 @@ TEST_F(SnapshotTest, InspectDescribesTheFile) {
   EXPECT_TRUE(info.has(snapshot::kArtifactDag));
   EXPECT_TRUE(info.has(snapshot::kArtifactCommunities));
   EXPECT_FALSE(info.has(snapshot::kArtifactEdgeOrder));
-  // Graph CSR (4 sections) + DAG (6) + communities (2).
-  EXPECT_EQ(info.sections.size(), 12u);
+  // Graph CSR (4 sections) + DAG out-arcs (3) + communities (2): no
+  // in-adjacency and no arc-source table.
+  std::vector<std::string> names;
+  for (const snapshot::SectionInfo& section : info.sections) names.push_back(section.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "graph.offsets", "graph.adjacency", "graph.edge_ids", "graph.endpoints",
+                       "dag.out_offsets", "dag.out_adjacency", "dag.rank_to_original",
+                       "communities.offsets", "communities.members"}));
   EXPECT_EQ(info.file_bytes, std::filesystem::file_size(path));
 }
 
@@ -182,11 +200,16 @@ TEST_F(SnapshotTest, RejectsForeignVersionAndTruncationAndTamper) {
   ASSERT_EQ(open_error(path), "");  // sanity: the pristine file loads
 
   // Version: bytes [8, 12) of the header (checked before the checksum, so
-  // the message names the version).
+  // the message names the version). A file of the retired v1 layout, which
+  // also stored the in-adjacency and the arc sources, is refused naming both.
   auto tampered = dir_ / "version.c3snap";
   std::filesystem::copy_file(path, tampered);
-  corrupt_byte(tampered, 8);
-  EXPECT_NE(open_error(tampered).find("format version mismatch"), std::string::npos);
+  patch(tampered, offsetof(snapshot::SnapshotHeader, format_version), std::uint32_t{1});
+  const std::string version_error = open_error(tampered);
+  EXPECT_NE(version_error.find("format version mismatch"), std::string::npos) << version_error;
+  EXPECT_NE(version_error.find("v1"), std::string::npos) << version_error;
+  EXPECT_NE(version_error.find("v" + std::to_string(snapshot::kFormatVersion)), std::string::npos)
+      << version_error;
 
   // Truncation: the header's file_bytes no longer matches.
   tampered = dir_ / "truncated.c3snap";
@@ -199,6 +222,25 @@ TEST_F(SnapshotTest, RejectsForeignVersionAndTruncationAndTamper) {
   std::filesystem::copy_file(path, tampered);
   corrupt_byte(tampered, sizeof(snapshot::SnapshotHeader) + 8);  // first record's offset field
   EXPECT_NE(open_error(tampered).find("header checksum mismatch"), std::string::npos);
+
+  // A final offset one past the end would let the last vertex's adjacency
+  // span read beyond its section. With checksums off only the shape check
+  // stands between such a patch and that read.
+  snapshot::SnapshotOpenOptions trusting;
+  trusting.verify_checksums = false;
+  const snapshot::SnapshotInfo info = snapshot::inspect(path);
+  for (const std::string name : {"graph.offsets", "dag.out_offsets"}) {
+    SCOPED_TRACE(name);
+    tampered = dir_ / (name + ".c3snap");
+    std::filesystem::copy_file(path, tampered);
+    const auto section = std::find_if(info.sections.begin(), info.sections.end(),
+                                      [&](const auto& s) { return s.name == name; });
+    ASSERT_NE(section, info.sections.end());
+    const edge_t arcs = name == "graph.offsets" ? 2 * g.num_edges() : g.num_edges();
+    patch(tampered, section->offset + section->bytes - sizeof(edge_t), edge_t{arcs + 1});
+    const std::string error = open_error(tampered, trusting);
+    EXPECT_NE(error.find(name + ": final offset"), std::string::npos) << error;
+  }
 }
 
 TEST_F(SnapshotTest, RejectsCorruptSectionPayloadNamingTheSection) {

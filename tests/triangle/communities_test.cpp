@@ -36,19 +36,19 @@ TEST(Communities, MembersSortedStrictlyBetweenEndpointsAndAdjacent) {
   const Graph g = erdos_renyi(80, 600, 5);
   const Digraph dag = orient_by_id(g);
   const EdgeCommunities comms = EdgeCommunities::build(dag);
-  for (edge_t e = 0; e < dag.num_arcs(); ++e) {
-    const node_t u = dag.arc_source(e);
-    const node_t v = dag.arc_target(e);
-    const auto members = comms.members(e);
-    ASSERT_TRUE(std::is_sorted(members.begin(), members.end()));
-    ASSERT_TRUE(std::adjacent_find(members.begin(), members.end()) == members.end());
-    for (const node_t w : members) {
-      // Community = N+(u) ∩ N-(v): ordered strictly between the endpoints
-      // and adjacent to both.
-      ASSERT_GT(w, u);
-      ASSERT_LT(w, v);
-      ASSERT_TRUE(dag.has_arc(u, w));
-      ASSERT_TRUE(dag.has_arc(w, v));
+  for (node_t u = 0; u < dag.num_nodes(); ++u) {
+    for (const node_t v : dag.out_neighbors(u)) {
+      const auto members = comms.members(dag.arc_id(u, v));
+      ASSERT_TRUE(std::is_sorted(members.begin(), members.end()));
+      ASSERT_TRUE(std::adjacent_find(members.begin(), members.end()) == members.end());
+      for (const node_t w : members) {
+        // Community = N+(u) ∩ N-(v): ordered strictly between the endpoints
+        // and adjacent to both.
+        ASSERT_GT(w, u);
+        ASSERT_LT(w, v);
+        ASSERT_TRUE(dag.has_arc(u, w));
+        ASSERT_TRUE(dag.has_arc(w, v));
+      }
     }
   }
 }
@@ -57,15 +57,16 @@ TEST(Communities, MatchesBruteForceIntersection) {
   const Graph g = erdos_renyi(50, 300, 6);
   const Digraph dag = orient_by_id(g);
   const EdgeCommunities comms = EdgeCommunities::build(dag);
-  for (edge_t e = 0; e < dag.num_arcs(); ++e) {
-    const node_t u = dag.arc_source(e);
-    const node_t v = dag.arc_target(e);
-    std::vector<node_t> expect;
-    for (node_t w = u + 1; w < v; ++w) {
-      if (dag.has_arc(u, w) && dag.has_arc(w, v)) expect.push_back(w);
+  for (node_t u = 0; u < dag.num_nodes(); ++u) {
+    for (const node_t v : dag.out_neighbors(u)) {
+      const edge_t e = dag.arc_id(u, v);
+      std::vector<node_t> expect;
+      for (node_t w = u + 1; w < v; ++w) {
+        if (dag.has_arc(u, w) && dag.has_arc(w, v)) expect.push_back(w);
+      }
+      const auto members = comms.members(e);
+      ASSERT_EQ(std::vector<node_t>(members.begin(), members.end()), expect) << "edge " << e;
     }
-    const auto members = comms.members(e);
-    ASSERT_EQ(std::vector<node_t>(members.begin(), members.end()), expect) << "edge " << e;
   }
 }
 
@@ -90,11 +91,13 @@ TEST(Communities, Figure3OnlyOneEdgeSupportsSixClique) {
   const Digraph dag = orient_by_id(g);
   const EdgeCommunities comms = EdgeCommunities::build(dag);
   int qualifying = 0;
-  for (edge_t e = 0; e < dag.num_arcs(); ++e) {
-    if (comms.size(e) >= 4) {
-      ++qualifying;
-      EXPECT_EQ(dag.arc_source(e), 0u);
-      EXPECT_EQ(dag.arc_target(e), 5u);
+  for (node_t u = 0; u < dag.num_nodes(); ++u) {
+    for (const node_t v : dag.out_neighbors(u)) {
+      if (comms.size(dag.arc_id(u, v)) >= 4) {
+        ++qualifying;
+        EXPECT_EQ(u, 0u);
+        EXPECT_EQ(v, 5u);
+      }
     }
   }
   EXPECT_EQ(qualifying, 1);
