@@ -4,7 +4,9 @@
 // Runs c3List with the distance criterion enabled vs disabled and reports
 // probed pairs and runtime. The prediction: the saving factor grows with k
 // (it is the pruning that removes the straightforwardly exponential runtime
-// growth in the clique size).
+// growth in the clique size). The criterion shapes only Algorithm 2's walk,
+// which a count no longer takes (it pivots, DESIGN.md §7), so both runs list
+// with a no-op callback: the walk the criterion prunes, leaf by leaf.
 #include <cstdio>
 
 #include "c3list.hpp"
@@ -12,6 +14,12 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+
+namespace {
+
+const c3::CliqueCallback walk_only = [](std::span<const c3::node_t>) { return true; };
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const c3::CommandLine cli(argc, argv);
@@ -34,10 +42,10 @@ int main(int argc, char** argv) {
       without.distance_pruning = false;
 
       c3::WallTimer t1;
-      const c3::CliqueResult rw = c3::count_cliques(ds.graph, k, with);
+      const c3::CliqueResult rw = c3::list_cliques(ds.graph, k, walk_only, with);
       const double time_with = t1.seconds();
       c3::WallTimer t2;
-      const c3::CliqueResult ro = c3::count_cliques(ds.graph, k, without);
+      const c3::CliqueResult ro = c3::list_cliques(ds.graph, k, walk_only, without);
       const double time_without = t2.seconds();
       if (rw.count != ro.count) std::printf("!! count mismatch at k=%d\n", k);
 

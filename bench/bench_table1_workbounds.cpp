@@ -6,8 +6,8 @@
 // intersection words + leaf work — the three cost components of the
 // analysis, Lemmas 2.3 / A.1 / A.2) of a listing run with a no-op callback:
 // listing walks Algorithm 2's whole search tree, the walk the theorems bound,
-// while a count takes complete candidate sets in closed form and skips their
-// subtrees (DESIGN.md, "Counting closed form"). For each variant the table prints
+// while a count builds a pivot tree instead (DESIGN.md §7, "Counting by
+// pivoting"). For each variant the table prints
 // measured work W(k) and the ratio W(k) / bound(k) with
 // bound(k) = m * ((gamma + 4 - k)/2)^(k-2): if the theorem holds, the ratio
 // stays bounded as k grows (the bound may be loose, so ratios well below 1

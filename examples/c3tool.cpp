@@ -428,6 +428,8 @@ void usage() {
       "  inspect   --in FILE.c3snap  (header, fingerprint, artifact mask, sections\n"
       "            — validates the header without loading any artifact)\n"
       "  count     --in FILE --k K [--alg A] [--triangle-growth] [--no-prune]\n"
+      "            (--no-prune / --triangle-growth shape only Algorithm 2's walks:\n"
+      "            listings, and c3List counts at k <= 4; other counts pivot)\n"
       "  sweep     --in FILE [--kmin 3] [--kmax 0] [--alg A]  (prepare once, all k)\n"
       "  maxclique --in FILE\n"
       "  batch     --in FILE --queries FILE [--alg A] [--concurrency N]\n"

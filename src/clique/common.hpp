@@ -52,11 +52,13 @@ struct CliqueOptions {
   std::uint64_t order_seed = 1;
   /// The paper's relevant-pair criterion (delta_I(u,v) >= c-2). Disabling it
   /// reverts to probing all candidate pairs — the ablation of Figure 2's
-  /// pruning rule.
+  /// pruning rule. It shapes only Algorithm 2's walks: listings, callback
+  /// queries and c <= 2 counts. A count of c >= 3 pivots and ignores it.
   bool distance_pruning = true;
   /// Grow the clique by triangles (3 vertices per level) instead of edges —
   /// the generalization the paper's conclusion raises as future work.
-  /// Supported by C3List, C3ListCD, and Hybrid.
+  /// Supported by C3List, C3ListCD, and Hybrid. Like distance_pruning it
+  /// shapes only the walks; a count of c >= 3 pivots either way.
   bool triangle_growth = false;
 };
 
@@ -65,13 +67,16 @@ struct CliqueOptions {
 /// pairs_probed ~ |R^P|, edges_matched ~ |R^E|, intersection_words ~ the
 /// intersection work, leaf_work ~ the listing cost L(c, I).
 ///
-/// They describe the search actually walked. A count (no callback) takes
-/// the closed form C(|I|, c) for every complete candidate set it meets and
-/// walks nothing below it (DESIGN.md, "Counting closed form"): the set adds
-/// one recursive call, its completeness test's words and C(|I|, c) to
-/// leaf_work, and one closed_form_sets. So a count's probe and call
-/// counters fall where complete sets are common, while leaf_work still sums
-/// to the count; a listing walks every leaf.
+/// They describe the search actually run. A listing, and a count of c <= 2,
+/// walks Algorithm 2 (or the vertex growth, or kcList's CSR recursion) leaf
+/// by leaf. A bitset count of c >= 3 (no callback) pivots instead
+/// (DESIGN.md §7, "Counting by pivoting"): recursive_calls counts the nodes
+/// of its clique tree, intersection_words the words of their degree
+/// popcounts and child intersections, leaf_work the closed forms summed at
+/// its leaves (so it still sums to the count), closed_form_sets the complete
+/// candidate sets among those leaves, and pairs_probed / edges_matched stay
+/// 0. kcList's CSR recursion still walks, taking complete sets in closed
+/// form.
 struct CliqueStats {
   count_t cliques = 0;
   count_t top_level_tasks = 0;     ///< edges (or vertices) spawning a search
@@ -80,8 +85,8 @@ struct CliqueStats {
   count_t edges_matched = 0;       ///< probed pairs that were edges (recursed)
   count_t intersection_words = 0;  ///< 64-bit words touched by intersections
   count_t leaf_work = 0;           ///< work at recursion leaves (c <= 2)
-  count_t closed_form_sets = 0;    ///< complete candidate sets counted as
-                                   ///< C(|I|, c) instead of walked
+  count_t closed_form_sets = 0;    ///< complete candidate sets a count
+                                   ///< took as one binomial, unwalked
   count_t dense_subproblems = 0;   ///< subproblems routed to the dense
                                    ///< (bitset local-graph) path vs CSR
   node_t gamma = 0;                ///< largest community / candidate set

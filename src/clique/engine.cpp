@@ -540,8 +540,8 @@ Answer PreparedGraph::run(const Query& query, obs::TraceContext* trace) const {
     trace->annotate("dense_subproblems", std::to_string(s.dense_subproblems));
     trace->annotate("top_level_tasks", std::to_string(s.top_level_tasks));
     trace->annotate("recursive_calls", std::to_string(s.recursive_calls));
-    // Complete candidate sets a count took in closed form: why its work
-    // counters can sit far below its leaf_work.
+    // Complete candidate sets a count took as one binomial: with the pivot
+    // trees, why its work counters can sit far below its leaf_work.
     trace->annotate("closed_form_sets", std::to_string(s.closed_form_sets));
     trace->annotate("pairs_probed", std::to_string(s.pairs_probed));
     trace->annotate("edges_matched", std::to_string(s.edges_matched));

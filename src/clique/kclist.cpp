@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "clique/combinatorics.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
 #include "parallel/parallel.hpp"
@@ -73,6 +75,20 @@ void build_sub_dag(const Digraph& dag, std::span<const node_t> members, SubDagSc
   }
 }
 
+/// The CSR closed form for a complete candidate set of `size` vertices:
+/// C(size, c) c-cliques, booked as one closed_form_sets whose cliques are
+/// leaf_work. nullopt when C(size, c) overflows count_t; the caller then
+/// walks the set instead.
+[[nodiscard]] std::optional<count_t> closed_form_cliques(count_t size, int c,
+                                                         LocalCounters& ctr) noexcept {
+  const std::optional<count_t> n = checked_binomial(size, static_cast<count_t>(c));
+  if (n) {
+    ++ctr.closed_form_sets;
+    ctr.leaf_work += *n;
+  }
+  return n;
+}
+
 // Early-stop state rides in w.ctx (SearchContext::poll_stop / request_stop),
 // the same shared-flag mechanism the community-centric searches use.
 
@@ -87,7 +103,7 @@ count_t kclist_rec(const SubDag& g, CliqueScratch& w, const int* S, int size, st
 
   // A count takes a complete S in closed form: G[S] is a DAG, so it is
   // complete exactly when it has |S|(|S|-1)/2 arcs, and then holds C(|S|, l)
-  // l-cliques (DESIGN.md, "Counting closed form").
+  // l-cliques (DESIGN.md §7, "Counting by pivoting").
   if (g.callback == nullptr && l >= 3 &&
       arcs == static_cast<std::int64_t>(size) * (size - 1) / 2) {
     if (const std::optional<count_t> n =

@@ -18,13 +18,13 @@
 // without descending: G[S_l] is a DAG, so it is complete exactly when
 // Σ d_l(v) = |S_l|(|S_l| - 1)/2, a sum each level's caller accumulates while
 // it partitions — the test costs no extra pass (DESIGN.md §7, "Counting
-// closed form").
+// by pivoting").
 //
 // Counters: edges_matched sums d_l(v) = |N+(v) ∩ S_l| over every v a level
 // picks, pairs_probed adds to it every entry a partition tests, leaf_work
 // is Σ d_2 plus every closed form's count, and closed_form_sets counts the
 // sets taken in closed form. Counting subproblems dense enough for
-// use_dense_subproblem run the bitset vertex-growth recursion instead
+// use_dense_subproblem pivot on a bitset local graph instead
 // (dense_subproblems). Worker memory is O(k·d + arcs of G[N+(u)]) for the
 // largest N+(u) met, independent of n.
 #pragma once

@@ -19,15 +19,19 @@ const detail::SearchBuild& search_build(bits::KernelBackend backend) noexcept {
 }  // namespace
 
 void SearchContext::ensure_capacity(int gamma, int depth, int words) {
-  const auto g = static_cast<std::size_t>(std::max(gamma, 1));
+  const auto g = static_cast<std::size_t>(std::max(gamma, 0));
   const auto d = static_cast<std::size_t>(std::max(depth, 1));
   const auto w = static_cast<std::size_t>(std::max(words, 1));
-  if (g <= cand_stride_ && w <= mask_stride_ && d <= depth_) return;
-  cand_stride_ = std::max(cand_stride_, g);
-  mask_stride_ = std::max(mask_stride_, w);
-  depth_ = std::max(depth_, d);
-  cand_pool_.assign(depth_ * cand_stride_, 0);
-  mask_pool_.assign(depth_ * mask_stride_, 0);
+  if (g > cand_stride_ || (g > 0 && d > cand_depth_)) {
+    cand_stride_ = std::max(cand_stride_, g);
+    cand_depth_ = std::max(cand_depth_, d);
+    cand_pool_.assign(cand_depth_ * cand_stride_, 0);
+  }
+  if (w > mask_stride_ || d > mask_depth_) {
+    mask_stride_ = std::max(mask_stride_, w);
+    mask_depth_ = std::max(mask_depth_, d);
+    mask_pool_.assign(mask_depth_ * mask_stride_, 0);
+  }
 }
 
 bool SearchContext::limit_expired() noexcept {

@@ -20,13 +20,15 @@
 // what enforces "community" (= vertices ordered strictly between the
 // endpoints) rather than "common neighborhood".
 //
-// Counting closed form: a count (no callback) tests each candidate set for
-// completeness as a recursion enters it, at c >= 3, and takes a complete set
-// of t vertices as its C(t, c) c-cliques without walking it. The test stops
-// at the first member whose degree inside the set is below t - 1; a C(t, c)
-// past count_t's range falls back to the walk. Listing — and so every
-// decision, witness, per-vertex and per-edge query — walks every leaf
-// (DESIGN.md §7, "Counting closed form").
+// Counting by pivoting: a count (no callback) of c >= 3 walks none of the
+// above. It builds the succinct clique tree of Jain & Seshadhri's Pivoter
+// with Bron–Kerbosch pivoting over the same bitset rows and sums closed
+// forms at its leaves: C(|P| + p, c - h) for a complete set, the 0-, 1- and
+// 2-cliques of P when at most two vertices are left to choose. A closed form
+// past count_t's range refuses the count. Listing — and so every decision,
+// witness, per-vertex and per-edge query — walks Algorithm 2, and a count of
+// c <= 2 keeps its one-popcount leaves (DESIGN.md §7, "Counting by
+// pivoting").
 //
 // The recursions live in recursive_impl.hpp, compiled twice: a baseline
 // build and, on x86-64, a -mpopcnt build; the entries below pick one from
@@ -40,7 +42,6 @@
 #include <span>
 #include <vector>
 
-#include "clique/combinatorics.hpp"
 #include "clique/common.hpp"
 #include "clique/local_graph.hpp"
 #include "graph/types.hpp"
@@ -141,8 +142,8 @@ struct SearchContext {
     if (stop != nullptr) stop->store(true, std::memory_order_relaxed);
   }
 
-  /// Grows the per-level scratch to cover candidate sets of size `gamma`
-  /// and recursion depth `depth` with `words` words per mask.
+  /// Grows the per-level scratch to cover `depth` levels of masks of
+  /// `words` words and, when gamma > 0, of candidate arrays of `gamma`.
   void ensure_capacity(int gamma, int depth, int words);
 
   [[nodiscard]] int* cand_at(int level) noexcept {
@@ -159,8 +160,9 @@ struct SearchContext {
   // padded row stride, padding words zero.
   bits::KernelWords mask_pool_;
   std::size_t cand_stride_ = 0;
+  std::size_t cand_depth_ = 0;
   std::size_t mask_stride_ = 0;
-  std::size_t depth_ = 0;
+  std::size_t mask_depth_ = 0;
 };
 
 /// Runs Algorithm 2 on the top-level candidate set `candidates` — sorted
@@ -173,8 +175,8 @@ struct SearchContext {
 /// one too while both universes fit one word). Used by the top level of
 /// Algorithm 1 (I = C(e) inside its source's G[N+(u)]), Algorithm 3
 /// (I = V'(e)), and the hybrid's per-vertex subproblems (I = N+(v)); sizes
-/// the scratch itself. A count takes every complete candidate set it meets
-/// in closed form (see the header comment); a listing walks them.
+/// the scratch itself. A count of c >= 3 pivots (see the header comment),
+/// reading only the words of the candidates' span; a listing walks.
 ///
 /// Each level grows the partial clique by the supporting pair (a, b) of the
 /// remaining clique and recurses on I ∩ C(a, b). With `triangle_growth` it
@@ -187,20 +189,6 @@ struct SearchContext {
 [[nodiscard]] count_t search_cliques_all(
     SearchContext& ctx, int c, bool triangle_growth = false,
     std::optional<std::span<const int>> candidates = std::nullopt);
-
-/// The counting closed form's count for a complete candidate set of `size`
-/// vertices: C(size, c) c-cliques, booked as one closed_form_sets whose
-/// cliques are leaf_work. nullopt when C(size, c) overflows count_t; the
-/// caller then walks the set instead.
-[[nodiscard]] inline std::optional<count_t> closed_form_cliques(count_t size, int c,
-                                                                LocalCounters& ctr) noexcept {
-  const std::optional<count_t> n = checked_binomial(size, static_cast<count_t>(c));
-  if (n) {
-    ++ctr.closed_form_sets;
-    ctr.leaf_work += *n;
-  }
-  return n;
-}
 
 /// Algorithm 2's base case c == 1 (line 2) as one recursive call: every one
 /// of `members` completes the clique on ctx.clique_stack. The recursion's
@@ -234,7 +222,7 @@ count_t search_base_case(SearchContext& ctx, std::span<const Member> members, To
 /// mask ∩ N(x) ∩ {> x} with c - 1. The arboricity-style counterpart of the
 /// pair growth — one vertex per level instead of an edge — shared by
 /// ArbCount and kcList's dense-subproblem path; sizes the scratch itself.
-/// Counts take complete masks in closed form, as the pair growth does.
+/// Counts of c >= 3 pivot, as the pair growth's do.
 [[nodiscard]] count_t search_cliques_vertex_all(SearchContext& ctx, int c);
 
 /// The build of the recursions the backend `b` runs (DESIGN.md §7, "Search

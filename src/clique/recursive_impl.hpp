@@ -23,6 +23,7 @@
 #include <span>
 #include <type_traits>
 
+#include "clique/combinatorics.hpp"
 #include "clique/recursive.hpp"
 #include "util/bitkernels.hpp"
 #include "util/bitwords.hpp"
@@ -154,44 +155,6 @@ std::uint64_t intersect_above(const std::uint64_t* row, const std::uint64_t* mas
   }
 }
 
-/// The closed form's out-of-line part, reached once a set's lowest member
-/// `first` is adjacent to all size - 1 others: tests the members above it,
-/// stopping at the first that is not, and returns closed_form_cliques for a
-/// complete set. Kept out of the recursions' bodies, which it would
-/// otherwise bloat on every call.
-template <int kWords>
-[[gnu::noinline]] std::optional<count_t> complete_set_count(const LocalGraph& lg,
-                                                           const std::uint64_t* mask,
-                                                           std::size_t words, std::uint64_t size,
-                                                           std::size_t first, int c,
-                                                           LocalCounters& ctr) noexcept {
-  const std::size_t from = first + 1;
-  for (std::size_t w = word_index(from); w < words; ++w) {
-    std::uint64_t m = mask[w];
-    if (w == word_index(from)) m &= ~std::uint64_t{0} << (from % bits::kWordBits);
-    for (; m != 0; m &= m - 1) {
-      const std::size_t y = w * bits::kWordBits + static_cast<std::size_t>(__builtin_ctzll(m));
-      ctr.intersection_words += words;
-      if (popcount_and(lg.row(static_cast<int>(y)), mask, words) + 1 != size) return std::nullopt;
-    }
-  }
-  return closed_form_cliques(size, c, ctr);
-}
-
-/// Counting's closed form (DESIGN.md, "Counting closed form"): a complete
-/// candidate set of `size` members, the lowest `first`, holds exactly
-/// C(size, c) c-cliques, returned without walking it. Inline, one masked
-/// popcount tests `first`; nullopt — walk the set — when it is incomplete or
-/// C(size, c) overflows count_t.
-template <int kWords>
-std::optional<count_t> closed_form_count(const LocalGraph& lg, const std::uint64_t* mask,
-                                         std::size_t words, std::uint64_t size,
-                                         std::size_t first, int c, LocalCounters& ctr) noexcept {
-  ctr.intersection_words += words;
-  if (popcount_and(lg.row(static_cast<int>(first)), mask, words) + 1 != size) return std::nullopt;
-  return complete_set_count<kWords>(lg, mask, words, size, first, c, ctr);
-}
-
 /// Emits one complete clique from the listing stack; returns false when the
 /// callback requests early termination.
 bool emit(SearchContext& ctx) {
@@ -201,7 +164,8 @@ bool emit(SearchContext& ctx) {
 /// Pair growth (Algorithm 2): counts (and in listing mode reports) the
 /// c-cliques of ctx.lg restricted to candidates `I` (sorted ascending local
 /// ids) with membership mask `I_mask`. `level` indexes the scratch arrays
-/// and must leave room for ceil(c/2) further levels.
+/// and must leave room for ceil(c/2) further levels. A count reaches it only
+/// at c <= 2; larger counts pivot (count_by_pivot).
 template <int kWords>
 count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask,
                        int c, int level) {
@@ -217,19 +181,16 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
   const std::size_t words = row_words<kWords>(lg);
   const bool listing = ctx.callback != nullptr;
 
-  // A count takes a complete I in closed form instead of walking it.
-  if (!listing && c >= 3 && !I.empty()) {
-    if (const std::optional<count_t> n = closed_form_count<kWords>(
-            lg, I_mask, words, I.size(), static_cast<std::size_t>(I[0]), c, ctr))
-      return *n;
-  }
-
   // Base case c == 2 (line 4): every edge inside I is a clique.
   if (c == 2) {
     if (!listing) {
+      if (I.empty()) return 0;
+      // Only the words of I's span can hold a member.
+      const std::size_t lo = word_index(static_cast<std::size_t>(I.front()));
+      const std::size_t span = word_index(static_cast<std::size_t>(I.back())) - lo + 1;
       count_t twice = 0;
-      for (const int a : I) twice += popcount_and(lg.row(a), I_mask, words);
-      ctr.intersection_words += I.size() * words;
+      for (const int a : I) twice += popcount_and(lg.row(a) + lo, I_mask + lo, span);
+      ctr.intersection_words += I.size() * span;
       ctr.leaf_work += twice / 2;
       return twice / 2;
     }
@@ -271,44 +232,20 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
           intersect_community<kWords>(row_a, lg.row(b), I_mask, words, a, b, community, ctr);
       if (isz < c - 2) continue;  // too few candidates to finish the clique
 
-      if (c - 2 == 1 && !listing) {
-        // Leaf shortcut: each surviving candidate completes one clique.
-        ++ctr.recursive_calls;
-        ctr.leaf_work += static_cast<count_t>(isz);
-        total += static_cast<count_t>(isz);
-        continue;
-      }
-      if (c - 2 == 2 && !listing) {
-        // Leaf shortcut: count the edges inside the community mask directly.
-        ++ctr.recursive_calls;
-        count_t twice = 0;
-        bits::for_each_bit(community, words, [&](std::size_t x) {
-          twice += popcount_and(lg.row(static_cast<int>(x)), community, words);
-        });
-        ctr.intersection_words += static_cast<count_t>(isz) * static_cast<count_t>(words);
-        ctr.leaf_work += twice / 2;
-        total += twice / 2;
-        continue;
-      }
-
       // Materialize the new candidate array (ascending == rank order) and
       // recurse with budget c - 2.
       int* next = ctx.cand_at(level);
       int pos = 0;
       bits::for_each_bit(community, words,
                          [&](std::size_t x) { next[pos++] = static_cast<int>(x); });
-      if (listing) {
-        ctx.clique_stack.push_back(ctx.member_to_orig[a]);
-        ctx.clique_stack.push_back(ctx.member_to_orig[b]);
-      }
+      ctx.clique_stack.push_back(ctx.member_to_orig[a]);
+      ctx.clique_stack.push_back(ctx.member_to_orig[b]);
       add_count(total,
                 search_cliques<kWords>(ctx, std::span<const int>(next, static_cast<std::size_t>(pos)),
                                        community, c - 2, level + 1),
                 ctr);
-      if (listing) {
-        ctx.clique_stack.pop_back();
-        ctx.clique_stack.pop_back();
-      }
+      ctx.clique_stack.pop_back();
+      ctx.clique_stack.pop_back();
     }
   }
   return total;
@@ -324,8 +261,8 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
 template <int kWords>
 count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
                            const std::uint64_t* I_mask, int c, int level) {
-  // The pair-growth bases already handle c <= 3 (a triangle is counted at
-  // its supporting pair with one popcount).
+  // Pair growth handles c <= 3: a triangle is one supporting pair plus a
+  // c == 1 leaf. Only a listing reaches c >= 4 here.
   if (c <= 3) return search_cliques<kWords>(ctx, I, I_mask, c, level);
 
   LocalCounters& ctr = *ctx.ctr;
@@ -334,12 +271,6 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
 
   const LocalGraph& lg = *ctx.lg;
   const std::size_t words = row_words<kWords>(lg);
-  const bool listing = ctx.callback != nullptr;
-  if (!listing && !I.empty()) {
-    if (const std::optional<count_t> n = closed_form_count<kWords>(
-            lg, I_mask, words, I.size(), static_cast<std::size_t>(I[0]), c, ctr))
-      return *n;
-  }
   const int t = static_cast<int>(I.size());
   const int gap = ctx.prune ? c - 2 : 0;
   std::uint64_t* community = ctx.mask_at(level);
@@ -367,31 +298,21 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
         const std::uint64_t isz = intersect_above<kWords>(lg.row(x), community, inner, words, xbit);
         if (isz < static_cast<std::uint64_t>(c - 3)) return;
 
-        if (c - 3 == 1 && !listing) {
-          ++ctr.recursive_calls;
-          ctr.leaf_work += isz;
-          total += isz;
-          return;
-        }
         int* next = ctx.cand_at(level);
         int pos = 0;
         bits::for_each_bit(inner, words,
                            [&](std::size_t y) { next[pos++] = static_cast<int>(y); });
-        if (listing) {
-          ctx.clique_stack.push_back(ctx.member_to_orig[a]);
-          ctx.clique_stack.push_back(ctx.member_to_orig[b]);
-          ctx.clique_stack.push_back(ctx.member_to_orig[x]);
-        }
+        ctx.clique_stack.push_back(ctx.member_to_orig[a]);
+        ctx.clique_stack.push_back(ctx.member_to_orig[b]);
+        ctx.clique_stack.push_back(ctx.member_to_orig[x]);
         add_count(total,
                   search_cliques_tri<kWords>(
                       ctx, std::span<const int>(next, static_cast<std::size_t>(pos)), inner,
                       c - 3, level + 2),
                   ctr);
-        if (listing) {
-          ctx.clique_stack.pop_back();
-          ctx.clique_stack.pop_back();
-          ctx.clique_stack.pop_back();
-        }
+        ctx.clique_stack.pop_back();
+        ctx.clique_stack.pop_back();
+        ctx.clique_stack.pop_back();
       });
     }
   }
@@ -399,12 +320,11 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
 }
 
 /// Vertex growth: pick the next clique vertex x ascending (= respecting the
-/// orientation), descend into mask ∩ N(x) ∩ {> x} with c - 1. `size` is
-/// |mask|, handed down by the caller that built it. `level` indexes the mask
-/// scratch and must leave room for c - 2 further levels.
+/// orientation), descend into mask ∩ N(x) ∩ {> x} with c - 1. `level`
+/// indexes the mask scratch and must leave room for c - 2 further levels. A
+/// count reaches it only at c <= 2; larger counts pivot (count_by_pivot).
 template <int kWords>
-count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, std::uint64_t size,
-                              int c, int level) {
+count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
   assert(c >= 1);
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -430,20 +350,6 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, std
 
   std::uint64_t* next = ctx.mask_at(level);
   count_t total = 0;
-  // A count takes a complete mask in closed form. Testing the lowest
-  // member first, at the call's entry rather than inside the loop below,
-  // keeps the loop exactly as lean as a listing's.
-  if (!listing && c >= 3 && size > 0) {
-    std::size_t w0 = 0;
-    if constexpr (kWords != 1) {
-      while (mask[w0] == 0) ++w0;
-    }
-    const std::size_t first =
-        w0 * bits::kWordBits + static_cast<std::size_t>(__builtin_ctzll(mask[w0]));
-    if (const std::optional<count_t> n =
-            closed_form_count<kWords>(lg, mask, words, size, first, c, ctr))
-      return *n;
-  }
   bits::for_each_bit(mask, words, [&](std::size_t x) {
     if (ctx.poll_stop()) return;
     // next = candidates after x that are adjacent to x, count fused in.
@@ -469,19 +375,196 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, std
     }
     if (isz >= static_cast<std::uint64_t>(c - 1)) {
       ++ctr.edges_matched;
-      if (listing) ctx.clique_stack.push_back(ctx.member_to_orig[x]);
-      add_count(total, search_cliques_vertex<kWords>(ctx, next, isz, c - 1, level + 1), ctr);
-      if (listing) ctx.clique_stack.pop_back();
+      ctx.clique_stack.push_back(ctx.member_to_orig[x]);
+      add_count(total, search_cliques_vertex<kWords>(ctx, next, c - 1, level + 1), ctr);
+      ctx.clique_stack.pop_back();
     }
   });
   return total;
 }
 
-/// The build's search_cliques_all: sizes the scratch, builds the top-level
-/// candidate array and mask, then runs the one-word instantiation when the
-/// universe fits one word.
+/// The words [base, base + words) of ctx.lg's rows that one pivot count
+/// reads: those of its top-level set, which hold every set below it. Bit i
+/// of a span mask is local vertex base * 64 + i.
+template <int kWords>
+struct PivotSpan {
+  const LocalGraph* lg;
+  std::size_t base;
+  std::size_t span_words;
+
+  [[nodiscard]] std::size_t words() const noexcept {
+    if constexpr (kWords == 1) {
+      return 1;
+    } else {
+      return span_words;
+    }
+  }
+  [[nodiscard]] const std::uint64_t* row(std::size_t bit) const noexcept {
+    return lg->row(static_cast<int>(base * bits::kWordBits + bit)) + base;
+  }
+};
+
+/// dst = a & b over `words` words; returns |dst|.
+template <int kWords>
+std::uint64_t intersect_span(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* dst,
+                             std::size_t words) noexcept {
+  if constexpr (kWords == 1) {
+    dst[0] = a[0] & b[0];
+    return popcount64(dst[0]);
+  } else {
+    if (words > kKernelInlineWords)
+      return bits::kernels().intersect_interval(a, b, b, dst, words, 0,
+                                                words * bits::kWordBits - 1);
+    std::uint64_t count = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      dst[w] = a[w] & b[w];
+      count += popcount64(dst[w]);
+    }
+    return count;
+  }
+}
+
+/// C(n, k) for a pivot count's closed forms (0 when k < 0). Past count_t's
+/// range it raises ctr.count_overflow, so the query is refused at the merge
+/// rather than answered with a wrapped count.
+count_t pivot_binomial(std::uint64_t n, int k, LocalCounters& ctr) noexcept {
+  if (k < 0) return 0;
+  const std::optional<count_t> b = checked_binomial(n, static_cast<count_t>(k));
+  if (!b) ctr.count_overflow = true;
+  return b.value_or(0);
+}
+
+/// a * b for a pivot count's closed forms, raising ctr.count_overflow past
+/// count_t's range.
+count_t pivot_product(count_t a, count_t b, LocalCounters& ctr) noexcept {
+  count_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) ctr.count_overflow = true;
+  return product;
+}
+
+/// A pivot-tree leaf's count, booked as leaf_work.
+count_t pivot_leaf(count_t n, LocalCounters& ctr) noexcept {
+  ctr.leaf_work += n;
+  return n;
+}
+
+/// Counting by pivoting (DESIGN.md §7, "Counting by pivoting"): one node of
+/// the succinct clique tree of Jain & Seshadhri's Pivoter, built with
+/// Bron–Kerbosch pivoting. The node stands for every clique made of its
+/// `held` vertices (all in), any of its `pivots` vertices, and a clique of
+/// G[P], P the span mask `P` of `size` members, every one adjacent to all
+/// held and pivot vertices. Returns how many of those have c vertices.
+/// `level` indexes two mask slots (P minus the branched vertices, and the
+/// child's set); a child's set is smaller than P, so a top-level set of t
+/// members needs t levels.
+template <int kWords>
+count_t count_by_pivot(SearchContext& ctx, const PivotSpan<kWords>& span, const std::uint64_t* P,
+                       std::uint64_t size, int c, int held, int pivots, int level) {
+  LocalCounters& ctr = *ctx.ctr;
+  ++ctr.recursive_calls;
+  if (ctx.poll_stop()) return 0;
+  const int r = c - held;  // vertices still to choose, >= 2 (an r <= 2 node is a leaf)
+  if (static_cast<std::uint64_t>(pivots) + size < static_cast<std::uint64_t>(r)) return 0;
+  const auto p = static_cast<std::uint64_t>(pivots);
+  if (size == 0) return pivot_leaf(pivot_binomial(p, r, ctr), ctr);
+
+  // Each member's degree inside P: the pivot has the largest (the lowest id
+  // on ties), and the smallest and the sum decide the closed forms.
+  const std::size_t words = span.words();
+  std::size_t pivot = 0;
+  std::uint64_t max_degree = 0, min_degree = size, degree_sum = 0;
+  bool first = true;
+  bits::for_each_bit(P, words, [&](std::size_t x) {
+    const std::uint64_t d = popcount_and(span.row(x), P, words);
+    degree_sum += d;
+    min_degree = std::min(min_degree, d);
+    if (first || d > max_degree) {
+      pivot = x;
+      max_degree = d;
+      first = false;
+    }
+  });
+  ctr.intersection_words += size * words;
+
+  // A complete P: choose r of its members and the pivots freely.
+  if (min_degree + 1 == size) {
+    ++ctr.closed_form_sets;
+    return pivot_leaf(pivot_binomial(size + p, r, ctr), ctr);
+  }
+  // r <= 2: the 0-, 1- and 2-cliques of G[P] are 1, |P| and its edges.
+  if (r <= 2) {
+    count_t n = pivot_binomial(p, r, ctr);
+    add_count(n, pivot_product(size, pivot_binomial(p, r - 1, ctr), ctr), ctr);
+    add_count(n, pivot_product(degree_sum / 2, pivot_binomial(p, r - 2, ctr), ctr), ctr);
+    return pivot_leaf(n, ctr);
+  }
+
+  // Branch on P \ N(pivot), ascending, dropping each branched vertex from
+  // `rest`: the pivot joins its child as a pivot vertex, every other w as a
+  // held one. P is the parent's slot (or the top level's), untouched below.
+  std::uint64_t* rest = ctx.mask_at(2 * level);
+  std::uint64_t* child = ctx.mask_at(2 * level + 1);
+  std::copy(P, P + words, rest);
+  const std::uint64_t* pivot_row = span.row(pivot);
+  count_t total = 0;
+  for (std::size_t w = 0; w < words && !ctx.stopped; ++w) {
+    for (std::uint64_t m = P[w] & ~pivot_row[w]; m != 0 && !ctx.stopped; m &= m - 1) {
+      const std::size_t x = w * bits::kWordBits + static_cast<std::size_t>(__builtin_ctzll(m));
+      ctr.intersection_words += words;
+      const std::uint64_t child_size = intersect_span<kWords>(span.row(x), rest, child, words);
+      rest[w] &= ~bits::bit_mask(x);
+      const bool is_pivot = x == pivot;
+      const int child_held = held + (is_pivot ? 0 : 1);
+      const int child_pivots = pivots + (is_pivot ? 1 : 0);
+      // A child that cannot reach c vertices is no node of the tree.
+      if (static_cast<std::uint64_t>(child_held + child_pivots) + child_size <
+          static_cast<std::uint64_t>(c))
+        continue;
+      add_count(total,
+                count_by_pivot<kWords>(ctx, span, child, child_size, c, child_held, child_pivots,
+                                       level + 1),
+                ctr);
+    }
+  }
+  return total;
+}
+
+/// A count of c >= 3: the c-cliques of ctx.lg[candidates] (the whole
+/// universe when omitted) by pivoting, on the candidates' word span only.
+count_t count_all_by_pivot(SearchContext& ctx, int c,
+                           std::optional<std::span<const int>> candidates) {
+  const LocalGraph& lg = *ctx.lg;
+  const auto n = static_cast<std::size_t>(lg.size());
+  std::size_t lo = 0, hi = n == 0 ? 0 : n - 1;
+  if (candidates && !candidates->empty()) {
+    lo = static_cast<std::size_t>(candidates->front());
+    hi = static_cast<std::size_t>(candidates->back());
+  }
+  const std::size_t base = word_index(lo);
+  const std::size_t words = word_index(hi) - base + 1;
+  const std::size_t members = candidates ? candidates->size() : n;
+  // Two slots per level, then the top level's mask.
+  const int top_slot = 2 * static_cast<int>(members);
+  ctx.ensure_capacity(0, top_slot + 1, lg.words());
+  std::uint64_t* top = ctx.mask_at(top_slot);
+  if (candidates) {
+    bits::clear_words(top, words);
+    for (const int a : *candidates)
+      bits::set_bit(top, static_cast<std::size_t>(a) - base * bits::kWordBits);
+  } else {
+    bits::fill_prefix(top, n, words);
+  }
+  const auto size = static_cast<std::uint64_t>(members);
+  if (words == 1) return count_by_pivot<1>(ctx, PivotSpan<1>{&lg, base, 1}, top, size, c, 0, 0, 0);
+  return count_by_pivot<0>(ctx, PivotSpan<0>{&lg, base, words}, top, size, c, 0, 0, 0);
+}
+
+/// The build's search_cliques_all: a count of c >= 3 pivots; otherwise it
+/// sizes the scratch, builds the top-level candidate array and mask, and
+/// runs the one-word instantiation when the universe fits one word.
 count_t cliques_all(SearchContext& ctx, int c, bool triangle_growth,
                     std::optional<std::span<const int>> candidates) {
+  if (ctx.callback == nullptr && c >= 3) return count_all_by_pivot(ctx, c, candidates);
   const int n = ctx.lg->size();
   const int words = ctx.lg->words();
   // Depth bound: c shrinks by >= 2 per level (pair growth) and the triangle
@@ -509,15 +592,15 @@ count_t cliques_all(SearchContext& ctx, int c, bool triangle_growth,
 
 /// The build's search_cliques_vertex_all, likewise.
 count_t vertex_all(SearchContext& ctx, int c) {
+  if (ctx.callback == nullptr && c >= 3) return count_all_by_pivot(ctx, c, std::nullopt);
   const int n = ctx.lg->size();
   const int words = ctx.lg->words();
   // One mask slot per level 0..c-2, plus the universe borrowing slot c.
   ctx.ensure_capacity(n, c + 1, words);
   std::uint64_t* universe = ctx.mask_at(c);
   bits::fill_prefix(universe, static_cast<std::size_t>(n), static_cast<std::size_t>(words));
-  const auto size = static_cast<std::uint64_t>(n);
-  return words == 1 ? search_cliques_vertex<1>(ctx, universe, size, c, 0)
-                    : search_cliques_vertex<0>(ctx, universe, size, c, 0);
+  return words == 1 ? search_cliques_vertex<1>(ctx, universe, c, 0)
+                    : search_cliques_vertex<0>(ctx, universe, c, 0);
 }
 
 }  // namespace

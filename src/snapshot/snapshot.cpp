@@ -221,18 +221,27 @@ const SectionRecord& require_section(const Layout& lay, const std::filesystem::p
   fail(path, std::string("missing section ") + section_name(kind));
 }
 
-/// Refuses an offsets section whose final entry is not what the header's
-/// graph shape dictates: the adjacency views read up to it, so a patched
-/// value would send them past their section even with checksums off.
-void require_final_offset(const MappedFile& map, const std::filesystem::path& path,
-                          const SectionRecord& offsets, std::uint64_t n, std::uint64_t expected,
-                          const char* shape) {
+/// Refuses an offsets section that would send a view past its section: the
+/// adjacency and member views read [offsets[i], offsets[i + 1]) for every i,
+/// so every entry must be at most the next one and the final one must be
+/// what the header's graph shape (or, for communities and edge-order
+/// candidates, their members section) dictates. O(n), so it stands even with
+/// checksums off.
+void require_offsets(const MappedFile& map, const std::filesystem::path& path,
+                     const SectionRecord& offsets, std::uint64_t n, std::uint64_t expected,
+                     const char* shape) {
   if (offsets.count != n + 1 || n == 0) return;
-  const edge_t last = section_span<edge_t>(map, offsets)[n];
-  if (last != expected) {
-    fail(path, std::string(section_name(static_cast<SectionKind>(offsets.kind))) +
-                   ": final offset " + u64s(last) + " disagrees with the header's " + shape +
-                   " = " + u64s(expected));
+  const auto entries = section_span<edge_t>(map, offsets);
+  const std::string name = section_name(static_cast<SectionKind>(offsets.kind));
+  if (entries[n] != expected) {
+    fail(path, name + ": final offset " + u64s(entries[n]) + " disagrees with the header's " +
+                   shape + " = " + u64s(expected));
+  }
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (entries[i] > entries[i + 1]) {
+      fail(path, name + ": offset " + u64s(i) + " = " + u64s(entries[i]) +
+                     " exceeds the next entry " + u64s(entries[i + 1]));
+    }
   }
 }
 
@@ -471,7 +480,7 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
   const SectionRecord& g_adj = require_section(lay, path, SectionKind::GraphAdjacency, 2 * m);
   const SectionRecord& g_ids = require_section(lay, path, SectionKind::GraphEdgeIds, 2 * m);
   const SectionRecord& g_end = require_section(lay, path, SectionKind::GraphEndpoints, m);
-  require_final_offset(impl.map, path, g_off, n, 2 * m, "2m");
+  require_offsets(impl.map, path, g_off, n, 2 * m, "2m");
   impl.graph = Graph::from_parts(view_of<edge_t>(impl.map, g_off), view_of<node_t>(impl.map, g_adj),
                                  view_of<edge_t>(impl.map, g_ids), view_of<Edge>(impl.map, g_end));
 
@@ -479,7 +488,7 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
   if ((h.artifact_mask & kArtifactDag) != 0) {
     const SectionRecord& oo = require_section(lay, path, SectionKind::DagOutOffsets, n + 1, n == 0);
     const SectionRecord& oa = require_section(lay, path, SectionKind::DagOutAdjacency, m);
-    require_final_offset(impl.map, path, oo, n, m, "m");
+    require_offsets(impl.map, path, oo, n, m, "m");
     const SectionRecord& ro = require_section(lay, path, SectionKind::DagRankToOriginal, n);
     arts.dag = Digraph::from_parts(view_of<edge_t>(impl.map, oo), view_of<node_t>(impl.map, oa),
                                    view_of<node_t>(impl.map, ro));
@@ -489,6 +498,7 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
     const auto offsets = section_span<edge_t>(impl.map, co);
     const std::uint64_t triangles = m > 0 ? offsets[m] : 0;
     const SectionRecord& cm = require_section(lay, path, SectionKind::CommMembers, triangles);
+    require_offsets(impl.map, path, co, m, triangles, "members count");
     arts.communities =
         EdgeCommunities::from_parts(view_of<edge_t>(impl.map, co), view_of<node_t>(impl.map, cm));
   }
@@ -501,6 +511,7 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
     const std::uint64_t cand_total = m > 0 ? cand_offsets[m] : 0;
     const SectionRecord& em =
         require_section(lay, path, SectionKind::EdgeOrderCandMembers, cand_total);
+    require_offsets(impl.map, path, ec, m, cand_total, "members count");
     EdgeOrderResult order;
     order.order = view_of<edge_t>(impl.map, eo);
     order.pos = view_of<edge_t>(impl.map, ep);

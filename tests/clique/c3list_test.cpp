@@ -63,30 +63,33 @@ TEST(C3List, AllVertexOrdersAgree) {
   }
 }
 
+// The relevant-pair criterion shapes only Algorithm 2's walk, which counts
+// no longer take (they pivot), so the ablation lists with a no-op callback.
+const CliqueCallback walk_only = [](std::span<const node_t>) { return true; };
+
 TEST(C3List, PruningAblationPreservesCounts) {
   const Graph g = social_like(200, 1500, 0.4, 6);
   for (int k = 4; k <= 6; ++k) {
     CliqueOptions with, without;
     with.distance_pruning = true;
     without.distance_pruning = false;
-    CliqueResult rw = count_cliques(g, k, with);
-    CliqueResult ro = count_cliques(g, k, without);
+    CliqueResult rw = list_cliques(g, k, walk_only, with);
+    CliqueResult ro = list_cliques(g, k, walk_only, without);
     EXPECT_EQ(rw.count, ro.count) << "k=" << k;
+    EXPECT_EQ(rw.count, count_cliques(g, k).count) << "k=" << k;
     // The pruned run must probe at most as many pairs.
     EXPECT_LE(rw.stats.pairs_probed, ro.stats.pairs_probed) << "k=" << k;
   }
 }
 
 TEST(C3List, PruningActuallyPrunesOnLargeK) {
-  // For k close to gamma the distance criterion rejects most pairs. The
-  // input must make the count walk: a complete graph such as K16 is
-  // counted in closed form and probes no pair at all.
+  // For k close to gamma the distance criterion rejects most pairs.
   const Graph g = erdos_renyi(120, 5000, 1);
   CliqueOptions with, without;
   with.distance_pruning = true;
   without.distance_pruning = false;
-  const CliqueResult rw = count_cliques(g, 14, with);
-  const CliqueResult ro = count_cliques(g, 14, without);
+  const CliqueResult rw = list_cliques(g, 14, walk_only, with);
+  const CliqueResult ro = list_cliques(g, 14, walk_only, without);
   EXPECT_EQ(rw.count, ro.count);
   EXPECT_LT(rw.stats.pairs_probed, ro.stats.pairs_probed / 2);
 }
@@ -147,15 +150,16 @@ TEST(C3List, EmptyAndTinyGraphs) {
 
 TEST(C3List, PerSourceBuildWalksTheSameSearchTree) {
   // c3List builds one local graph per source u, over N+(u), and searches
-  // each community C(u->v) as a candidate subset of it. A count walks
-  // exactly the tree a compact G[C(e)] per edge walks, minus the subtrees
-  // of complete candidate sets, which it takes in closed form: count,
+  // each community C(u->v) as a candidate subset of it. A count builds
+  // exactly the tree a compact G[C(e)] per edge builds: count,
   // top_level_tasks and leaf_work are the values the per-edge build walked
-  // to, and the other counters are pinned from the closed-form search.
-  // intersection_words is pinned only where s-tilde <= 64 (every universe
-  // one word): a wider source universe spans more words per popcount than
-  // a compact one. (CountingClosedForm.ListingWalksTheSameTreeAsBefore pins the
-  // full tree a listing still walks.)
+  // to; at k <= 4 (c <= 2) the other counters are the walk's, and at k >= 5
+  // they are the pivot trees' (no pair probed), pinned from an independent
+  // per-arc pivot count over compact G[C(e)]. intersection_words is pinned
+  // only where s-tilde <= 64 (every universe one word): elsewhere a source
+  // universe's span can be wider than a compact one.
+  // (CountingClosedForm.ListingWalksTheSameTreeAsBefore pins the full tree a
+  // listing still walks.)
   struct Pinned {
     int k;
     count_t count, tasks, calls, probed, matched, words, leaf;
@@ -170,29 +174,29 @@ TEST(C3List, PerSourceBuildWalksTheSameSearchTree) {
        true,
        {{3, 819, 333, 333, 0, 0, 0, 819},
         {4, 314, 217, 217, 0, 0, 703, 314},
-        {5, 31, 134, 161, 491, 158, 296, 31},
-        {6, 1, 76, 79, 223, 66, 148, 1},
-        {7, 0, 37, 37, 88, 31, 68, 0},
-        {8, 0, 16, 16, 29, 8, 24, 0}}},
+        {5, 31, 134, 234, 0, 0, 1210, 31},
+        {6, 1, 76, 104, 0, 0, 722, 1},
+        {7, 0, 37, 45, 0, 0, 373, 0},
+        {8, 0, 16, 16, 0, 0, 157, 0}}},
       {testing::with_planted_clique(social_like(200, 1200, 0.5, 7), 16),
        true,
        {{3, 1435, 587, 587, 0, 0, 0, 1435},
         {4, 2100, 303, 303, 0, 0, 1151, 2100},
-        {5, 4409, 177, 200, 280, 82, 724, 4409},
-        {6, 8012, 121, 122, 110, 27, 578, 8012},
-        {7, 11440, 78, 78, 31, 7, 470, 11440},
-        {8, 12870, 49, 49, 4, 0, 394, 12870}}},
+        {5, 4409, 177, 250, 0, 0, 1347, 4409},
+        {6, 8012, 121, 140, 0, 0, 957, 8012},
+        {7, 11440, 78, 80, 0, 0, 637, 11440},
+        {8, 12870, 49, 49, 0, 0, 430, 12870}}},
       // s-tilde = 69: source universes span two words. The walk took
-      // seconds per run at k = 7 and 8 (1.2e9 and 9.4e9 cliques); the closed
-      // form takes the K70's complete sets in one step each.
+      // seconds per run at k = 7 and 8 (1.2e9 and 9.4e9 cliques); a count
+      // takes the K70's complete sets in one step each.
       {testing::with_planted_clique(social_like(300, 1500, 0.5, 11), 70),
        false,
        {{3, 56007, 2903, 2903, 0, 0, 0, 56007},
         {4, 918453, 2553, 2553, 0, 0, 0, 918453},
-        {5, 12106425, 2380, 2566, 469, 239, 0, 12106425},
-        {6, 131123399, 2232, 2326, 237, 134, 0, 131123399},
-        {7, 1198788303, 2136, 2183, 124, 74, 0, 1198788303},
-        {8, 9440371298, 2051, 2075, 64, 45, 0, 9440371298}}},
+        {5, 12106425, 2380, 2489, 0, 0, 0, 12106425},
+        {6, 131123399, 2232, 2296, 0, 0, 0, 131123399},
+        {7, 1198788303, 2136, 2171, 0, 0, 0, 1198788303},
+        {8, 9440371298, 2051, 2075, 0, 0, 0, 9440371298}}},
   };
   CliqueOptions kclist;
   kclist.algorithm = Algorithm::KCList;

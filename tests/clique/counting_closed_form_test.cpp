@@ -1,8 +1,9 @@
-// The counting closed form: a count takes every complete candidate set as
-// C(|I|, c) instead of walking it (DESIGN.md, "Counting closed form"). These
-// tests hold its answers to brute force and to listing, check that it walks
-// nothing below a complete top-level set, that listing still walks the whole
-// tree, and that counts past 64 bits are refused rather than wrapped.
+// Counting closed forms: a count takes every complete candidate set as
+// C(|I|, c) instead of walking it, at the leaves of its pivot tree (DESIGN.md
+// §7, "Counting by pivoting"). These tests hold its answers to brute force
+// and to listing, check that it builds nothing below a complete top-level
+// set, that listing still walks the whole tree, and that counts past 64 bits
+// are refused rather than wrapped.
 #include <gtest/gtest.h>
 
 #include <algorithm>

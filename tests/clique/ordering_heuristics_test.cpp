@@ -52,11 +52,14 @@ TEST(OrderingHeuristics, RandomOrderSeedIsDeterministic) {
   a.vertex_order = b.vertex_order = c.vertex_order = VertexOrderKind::Random;
   a.order_seed = b.order_seed = 42;
   c.order_seed = 43;
-  const CliqueResult ra = count_cliques(g, 5, a);
-  const CliqueResult rb = count_cliques(g, 5, b);
-  const CliqueResult rc = count_cliques(g, 5, c);
+  // A listing walks Algorithm 2's pairs; a count pivots and probes none.
+  const CliqueCallback walk_only = [](std::span<const node_t>) { return true; };
+  const CliqueResult ra = list_cliques(g, 5, walk_only, a);
+  const CliqueResult rb = list_cliques(g, 5, walk_only, b);
+  const CliqueResult rc = list_cliques(g, 5, walk_only, c);
   EXPECT_EQ(ra.count, rb.count);
   EXPECT_EQ(ra.count, rc.count);
+  EXPECT_EQ(ra.count, count_cliques(g, 5, a).count);
   // Same seed -> identical instrumented traversal; different seed -> almost
   // surely a different probe count on a graph this size.
   EXPECT_EQ(ra.stats.pairs_probed, rb.stats.pairs_probed);

@@ -539,9 +539,10 @@ std::vector<Algorithm> prepared_algorithms() {
 
 TEST(QueryRun, BudgetBoundsAFruitlessSearch) {
   // The budget must cut a search that emits nothing: ER(400, 40000) has no
-  // 14-clique and at most a handful of 13-cliques, and both searches run for
-  // seconds unbudgeted. Serial (workers=1), so no OpenMP spin-wait under
-  // ctest -j inflates the wall time.
+  // 14-clique and two 13-cliques, and both searches run for over a second
+  // unbudgeted (the count pivots for 1.5-2.5 s at 1 worker, 75x the
+  // budget). Serial (workers=1), so no OpenMP spin-wait under ctest -j
+  // inflates the wall time.
   const Graph dense = erdos_renyi(400, 40000, 1);
   // BruteForce gets a smaller instance; its unbudgeted count 13 there still
   // takes seconds.
@@ -620,7 +621,8 @@ TEST(QueryRun, CrossThreadCancelCutsARunningCount) {
   // 9.8e11 13-cliques, far more than any test could count, so the flip
   // always lands mid-search. (K_60 itself is counted in closed form in
   // microseconds.) Every candidate set holding a matched pair is
-  // incomplete, so the count walks.
+  // incomplete, and each pivot's non-neighbours are itself and its partner,
+  // so the pivot tree doubles per matched pair: the count runs for seconds.
   EdgeList edges;
   for (node_t u = 0; u < 60; ++u) {
     for (node_t v = u + 1; v < 60; ++v) {

@@ -100,15 +100,18 @@ TEST(RecursiveEngine, IntervalRestrictionPreventsDoubleCounting) {
 }
 
 TEST(RecursiveEngine, CountersTrackProbes) {
-  // K8 minus one edge: a complete K8 would be counted in closed form, with
-  // no pair probed.
+  // K8 minus one edge, listed: a count of c >= 3 pivots and probes no pair.
   EngineFixture f(8);
   for (int a = 0; a < 8; ++a) {
     for (int b = a + 1; b < 8; ++b) {
       if (a != 0 || b != 7) f.lg.add_edge(a, b);
     }
   }
-  (void)f.count_all(4);
+  const std::vector<node_t> identity = {0, 1, 2, 3, 4, 5, 6, 7};
+  const CliqueCallback walk_only = [](std::span<const node_t>) { return true; };
+  f.ctx.callback = &walk_only;
+  f.ctx.member_to_orig = identity.data();
+  EXPECT_EQ(f.count_all(4), binomial(8, 4) - binomial(6, 2));
   EXPECT_GT(f.ctr.pairs_probed, 0u);
   EXPECT_GT(f.ctr.edges_matched, 0u);
   EXPECT_GE(f.ctr.pairs_probed, f.ctr.edges_matched);

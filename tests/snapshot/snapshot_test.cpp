@@ -243,6 +243,45 @@ TEST_F(SnapshotTest, RejectsForeignVersionAndTruncationAndTamper) {
   }
 }
 
+TEST_F(SnapshotTest, RejectsAnInteriorOffsetPastItsSection) {
+  // An interior offsets entry patched past the section's total would send
+  // that vertex's (or arc's) view beyond its section, e.g. a multi-GB
+  // LocalGraph on the first count. With checksums off, open() must refuse
+  // it, naming the section. c3List's snapshot stores the graph, the DAG and
+  // the communities; c3List-CD's stores the edge order.
+  const Graph g = erdos_renyi(80, 600, 3);
+  snapshot::SnapshotOpenOptions trusting;
+  trusting.verify_checksums = false;
+  std::vector<std::string> checked;
+  for (const Algorithm alg : {Algorithm::C3List, Algorithm::C3ListCD}) {
+    CliqueOptions opts;
+    opts.algorithm = alg;
+    const PreparedGraph engine(g, opts);
+    engine.prepare();
+    const auto path = dir_ / (std::string(algorithm_name(alg)) + ".c3snap");
+    snapshot::write(path, engine);
+    ASSERT_EQ(open_error(path, trusting), "");
+    const snapshot::SnapshotInfo info = snapshot::inspect(path);
+    for (const std::string name : {"graph.offsets", "dag.out_offsets", "communities.offsets",
+                                   "edge_order.candidate_offsets"}) {
+      const auto section = std::find_if(info.sections.begin(), info.sections.end(),
+                                        [&](const auto& s) { return s.name == name; });
+      if (section == info.sections.end()) continue;
+      SCOPED_TRACE(std::string(algorithm_name(alg)) + " " + name);
+      const auto tampered = dir_ / (std::string(algorithm_name(alg)) + "." + name + ".c3snap");
+      std::filesystem::copy_file(path, tampered);
+      const std::uint64_t entry = section->count / 2;  // an interior entry
+      patch(tampered, section->offset + entry * sizeof(edge_t), edge_t{1} << 20);
+      const std::string error = open_error(tampered, trusting);
+      EXPECT_NE(error.find(name + ": offset "), std::string::npos) << error;
+      checked.push_back(name);
+    }
+  }
+  std::sort(checked.begin(), checked.end());
+  checked.erase(std::unique(checked.begin(), checked.end()), checked.end());
+  EXPECT_EQ(checked.size(), 4u);
+}
+
 TEST_F(SnapshotTest, RejectsCorruptSectionPayloadNamingTheSection) {
   const Graph g = erdos_renyi(80, 600, 3);
   const PreparedGraph engine(g, {});
