@@ -1,14 +1,16 @@
-// Kernel-substrate ablation bench — the perf evidence for the PR 7 SIMD
-// bit-kernel work. Two sections:
+// Search-build ablation bench: the baseline build of Algorithm 2's
+// recursions against the host's (the -mpopcnt build on x86-64 hosts with
+// POPCNT). Two sections:
 //
-//   micro      — the fused intersect kernels and masked popcounts timed per
-//                backend (every backend the host can run, scalar included)
-//                on 1024-bit and 8192-bit universes; reported as ns/op and
-//                speedup over the scalar table.
+//   micro      — the bitwords.hpp reference versions of the ops the
+//                recursions run inline (fused interval/suffix intersections,
+//                masked popcounts) timed on 1024-bit and 8192-bit
+//                universes, as ns/op.
 //   end_to_end — the CI smoke graphs plus a community-overlay graph counted
-//                by every production algorithm twice: once with the dispatch
-//                pinned to scalar, once on the host-selected backend. The
-//                self-timed search_seconds are compared and the counts are
+//                by every production algorithm twice: once with the search
+//                pinned to its baseline build (C3_KERNEL=scalar's choice),
+//                once on the host-selected build. The self-timed
+//                search_seconds are compared and the counts are
 //                cross-checked (non-zero exit on any mismatch). Also exits
 //                non-zero when c3List's dense_blocks k = 4 time is more than
 //                4x kcList's from the same pass (the dense-regime guard).
@@ -19,9 +21,8 @@
 //   ./bench_kernels [--out BENCH_pr7.json] [--reps 2] [--k 5]
 //
 // Schema: {"bench": "kernels", "host_backend", "workers", "micro":
-// [{"op", "backend", "bits", "ns_per_op", "speedup_vs_scalar"}],
-// "end_to_end": [{"graph", "algorithm", "k", "count", "scalar_seconds",
-// "vector_seconds", "speedup"}], "checks_passed"}
+// [{"op", "bits", "ns_per_op"}], "end_to_end": [{"graph", "algorithm", "k",
+// "count", "scalar_seconds", "host_seconds", "speedup"}], "checks_passed"}
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -45,13 +46,11 @@ volatile std::uint64_t g_sink = 0;
 
 struct MicroResult {
   std::string op;
-  bits::KernelBackend backend;
   std::size_t nbits = 0;
   double ns_per_op = 0.0;
-  double speedup_vs_scalar = 0.0;  ///< filled once the scalar row is known
 };
 
-/// Times `op(table)` (which must consume the whole universe once per call)
+/// Times `op()` (which must consume the whole universe once per call)
 /// and returns the best-of-3 ns per call.
 template <typename Op>
 double time_op(std::size_t iters, const Op& op) {
@@ -68,7 +67,7 @@ double time_op(std::size_t iters, const Op& op) {
   return best;
 }
 
-/// Micro section: every available backend against random word buffers.
+/// Micro section: the reference ops against random word buffers.
 std::vector<MicroResult> run_micro() {
   std::vector<MicroResult> results;
   Xoshiro256 rng(0xBEEF);
@@ -82,41 +81,21 @@ std::vector<MicroResult> run_micro() {
     }
     // Keep each measurement around a millisecond regardless of width.
     const std::size_t iters = std::max<std::size_t>(1, 2'000'000 / nwords);
-    const std::size_t lo = 3, hi = nbits - 2;  // interval kernels span almost all words
-    for (const bits::KernelBackend backend : bits::available_kernel_backends()) {
-      const bits::KernelTable* table = bits::kernel_table(backend);
-      if (table == nullptr) continue;
-      results.push_back({"intersect_interval", backend, nbits,
-                         time_op(iters,
-                                 [&] {
-                                   return table->intersect_interval(a.data(), b.data(), mask.data(),
-                                                                    dst.data(), nwords, lo, hi);
-                                 }),
-                         0.0});
-      results.push_back({"intersect_above", backend, nbits,
-                         time_op(iters,
-                                 [&] {
-                                   return table->intersect_above(a.data(), mask.data(), dst.data(),
-                                                                 nwords, lo);
-                                 }),
-                         0.0});
-      results.push_back({"popcount_and", backend, nbits,
-                         time_op(iters, [&] { return table->popcount_and(a.data(), b.data(), nwords); }),
-                         0.0});
-      results.push_back(
-          {"popcount_and3", backend, nbits,
-           time_op(iters,
-                   [&] { return table->popcount_and3(a.data(), b.data(), mask.data(), nwords); }),
-           0.0});
-    }
-  }
-  // Attach the scalar baseline to every row of the same (op, nbits).
-  for (MicroResult& r : results) {
-    for (const MicroResult& s : results) {
-      if (s.backend == bits::KernelBackend::Scalar && s.op == r.op && s.nbits == r.nbits) {
-        r.speedup_vs_scalar = r.ns_per_op > 0.0 ? s.ns_per_op / r.ns_per_op : 0.0;
-      }
-    }
+    const std::size_t lo = 3, hi = nbits - 2;  // interval ops span almost all words
+    results.push_back({"intersect_interval", nbits, time_op(iters, [&] {
+                         return bits::intersect_interval(a.data(), b.data(), mask.data(),
+                                                         dst.data(), nwords, lo, hi);
+                       })});
+    results.push_back({"intersect_above", nbits, time_op(iters, [&] {
+                         return bits::intersect_above(a.data(), mask.data(), dst.data(), nwords,
+                                                      lo);
+                       })});
+    results.push_back({"popcount_and", nbits, time_op(iters, [&] {
+                         return bits::popcount_and(a.data(), b.data(), nwords);
+                       })});
+    results.push_back({"popcount_and3", nbits, time_op(iters, [&] {
+                         return bits::popcount_and3(a.data(), b.data(), mask.data(), nwords);
+                       })});
   }
   return results;
 }
@@ -127,11 +106,11 @@ struct EndToEndResult {
   int k = 0;
   count_t count = 0;
   double scalar_seconds = 0.0;
-  double vector_seconds = 0.0;
+  double host_seconds = 0.0;
 };
 
 /// Best-of-`reps` self-timed search_seconds under the currently active
-/// backend; also returns the count for the cross-check.
+/// search build; also returns the count for the cross-check.
 std::pair<count_t, double> timed_count(const PreparedGraph& engine, int k, int reps) {
   count_t count = 0;
   double best = 0.0;
@@ -152,17 +131,16 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get_string("out", "BENCH_pr7.json");
 
   const bits::KernelBackend host = bits::active_kernel_backend();
-  std::printf("bench_kernels: host backend %s (best %s), %d workers\n",
+  std::printf("bench_kernels: host search build %s (best %s), %d workers\n",
               bits::kernel_backend_name(host), bits::kernel_backend_name(bits::best_kernel_backend()),
               num_workers());
 
   // --- Micro section ------------------------------------------------------
   const std::vector<MicroResult> micro = run_micro();
   {
-    Table t({"op", "backend", "bits", "ns/op", "vs scalar"});
+    Table t({"op", "bits", "ns/op"});
     for (const MicroResult& r : micro) {
-      t.add_row({r.op, bits::kernel_backend_name(r.backend), std::to_string(r.nbits),
-                 strfmt("%.1f", r.ns_per_op), strfmt("%.2fx", r.speedup_vs_scalar)});
+      t.add_row({r.op, std::to_string(r.nbits), strfmt("%.1f", r.ns_per_op)});
     }
     t.print();
   }
@@ -179,13 +157,11 @@ int main(int argc, char** argv) {
   for (bench::SmokeGraph& sg : bench::smoke_graphs()) {
     graphs.push_back({std::move(sg.name), std::move(sg.graph), k, reps});
   }
-  // Subproblems of <= 256 vertices take the inlined-scalar short circuit by
-  // design (dispatch would cost more than the op), so the smoke graphs above
-  // mostly measure parity, not speedup. This graph's communities span
-  // 420-460 vertices — 8-word rows, a full 512-bit lane past the inline
-  // threshold — so the search recursions actually dispatch with enough width
-  // for the vectors to pay. k = 4 counts on Algorithm 2's c = 2 leaves; the
-  // k = 6 row pivots (c3List-CD, which builds a G[V'(e)] per edge, sits it
+  // The smoke graphs' local universes fit a few words, as the paper's
+  // datasets' do (s <= 253, so at most 4 words). This graph's communities
+  // span 420-460 vertices — 8-word rows — so the search runs its word loops
+  // at twice the paper's widest rows. k = 4 counts on Algorithm 2's c = 2
+  // leaves; the k = 6 row pivots (c3List-CD, which builds a G[V'(e)] per edge, sits it
   // out). One rep suffices at that scale.
   const Graph dense_blocks =
       bench::overlay_communities(social_like(1200, 6'000, 0.4, 21), 2, 420, 460, 99);
@@ -204,33 +180,33 @@ int main(int argc, char** argv) {
       const PreparedGraph engine(sg.graph, opts);
 
       if (!bits::set_kernel_backend(bits::KernelBackend::Scalar)) {
-        std::fprintf(stderr, "bench_kernels: cannot pin scalar backend\n");
+        std::fprintf(stderr, "bench_kernels: cannot pin the baseline build\n");
         return 1;
       }
       const auto [scalar_count, scalar_s] = timed_count(engine, sg.k, sg.reps);
       if (!bits::set_kernel_backend(host)) {
-        std::fprintf(stderr, "bench_kernels: cannot restore host backend\n");
+        std::fprintf(stderr, "bench_kernels: cannot restore the host build\n");
         return 1;
       }
-      const auto [vector_count, vector_s] = timed_count(engine, sg.k, sg.reps);
+      const auto [host_count, host_s] = timed_count(engine, sg.k, sg.reps);
 
-      if (scalar_count != vector_count) {
+      if (scalar_count != host_count) {
         std::printf("!! %s %s k=%d: scalar=%llu %s=%llu\n", sg.name.c_str(), algorithm_name(alg),
                     sg.k, static_cast<unsigned long long>(scalar_count),
-                    bits::kernel_backend_name(host), static_cast<unsigned long long>(vector_count));
+                    bits::kernel_backend_name(host), static_cast<unsigned long long>(host_count));
         mismatch = true;
       }
-      e2e.push_back({sg.name, algorithm_name(alg), sg.k, vector_count, scalar_s, vector_s});
+      e2e.push_back({sg.name, algorithm_name(alg), sg.k, host_count, scalar_s, host_s});
       std::fprintf(stderr, "  %s/%s: scalar %.3fs, %s %.3fs\n", sg.name.c_str(),
-                   algorithm_name(alg), scalar_s, bits::kernel_backend_name(host), vector_s);
+                   algorithm_name(alg), scalar_s, bits::kernel_backend_name(host), host_s);
     }
   }
   {
-    Table t({"graph", "algorithm", "k", "cliques", "scalar s", "vector s", "speedup"});
+    Table t({"graph", "algorithm", "k", "cliques", "scalar s", "host s", "speedup"});
     for (const EndToEndResult& r : e2e) {
-      const double speedup = r.vector_seconds > 0.0 ? r.scalar_seconds / r.vector_seconds : 0.0;
+      const double speedup = r.host_seconds > 0.0 ? r.scalar_seconds / r.host_seconds : 0.0;
       t.add_row({r.graph, r.algorithm, std::to_string(r.k), std::to_string(r.count),
-                 strfmt("%.4f", r.scalar_seconds), strfmt("%.4f", r.vector_seconds),
+                 strfmt("%.4f", r.scalar_seconds), strfmt("%.4f", r.host_seconds),
                  strfmt("%.2fx", speedup)});
     }
     t.print();
@@ -247,20 +223,18 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < micro.size(); ++i) {
     const MicroResult& r = micro[i];
     std::fprintf(json,
-                 "%s{\"op\": \"%s\", \"backend\": \"%s\", \"bits\": %zu, \"ns_per_op\": %.3f, "
-                 "\"speedup_vs_scalar\": %.4f}",
-                 i > 0 ? ", " : "", r.op.c_str(), bits::kernel_backend_name(r.backend), r.nbits,
-                 r.ns_per_op, r.speedup_vs_scalar);
+                 "%s{\"op\": \"%s\", \"bits\": %zu, \"ns_per_op\": %.3f}",
+                 i > 0 ? ", " : "", r.op.c_str(), r.nbits, r.ns_per_op);
   }
   std::fprintf(json, "], \"end_to_end\": [");
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     const EndToEndResult& r = e2e[i];
-    const double speedup = r.vector_seconds > 0.0 ? r.scalar_seconds / r.vector_seconds : 0.0;
+    const double speedup = r.host_seconds > 0.0 ? r.scalar_seconds / r.host_seconds : 0.0;
     std::fprintf(json,
                  "%s{\"graph\": \"%s\", \"algorithm\": \"%s\", \"k\": %d, \"count\": %llu, "
-                 "\"scalar_seconds\": %.6f, \"vector_seconds\": %.6f, \"speedup\": %.4f}",
+                 "\"scalar_seconds\": %.6f, \"host_seconds\": %.6f, \"speedup\": %.4f}",
                  i > 0 ? ", " : "", r.graph.c_str(), r.algorithm.c_str(), r.k,
-                 static_cast<unsigned long long>(r.count), r.scalar_seconds, r.vector_seconds,
+                 static_cast<unsigned long long>(r.count), r.scalar_seconds, r.host_seconds,
                  speedup);
   }
   std::fprintf(json, "], \"checks_passed\": %s}\n", mismatch ? "false" : "true");
@@ -278,8 +252,8 @@ int main(int argc, char** argv) {
   double c3list_s = 0.0, kclist_s = 0.0;
   for (const EndToEndResult& r : e2e) {
     if (r.graph != "dense_blocks" || r.k != 4) continue;
-    if (r.algorithm == algorithm_name(Algorithm::C3List)) c3list_s = r.vector_seconds;
-    if (r.algorithm == algorithm_name(Algorithm::KCList)) kclist_s = r.vector_seconds;
+    if (r.algorithm == algorithm_name(Algorithm::C3List)) c3list_s = r.host_seconds;
+    if (r.algorithm == algorithm_name(Algorithm::KCList)) kclist_s = r.host_seconds;
   }
   constexpr double kDenseRatioLimit = 4.0;
   std::printf("dense_blocks k=4: c3List %.3fs, kcList %.3fs (%.2fx, limit %.0fx)\n", c3list_s,

@@ -126,58 +126,42 @@ struct KernelBuffers {
   }
 };
 
-/// Args: {backend enum value, words per row}. Only backends the host can run
-/// are registered, so every reported row is a real measurement.
-void KernelArgs(benchmark::internal::Benchmark* b) {
-  for (const bits::KernelBackend backend : bits::available_kernel_backends()) {
-    for (const int words : {16, 128}) b->Args({static_cast<int>(backend), words});
-  }
-}
-
+/// The bitwords.hpp reference ops over rows of 16 and 128 words.
 void BM_KernelPopcountAnd(benchmark::State& state) {
-  const bits::KernelTable* table =
-      bits::kernel_table(static_cast<bits::KernelBackend>(state.range(0)));
-  const auto nwords = static_cast<std::size_t>(state.range(1));
+  const auto nwords = static_cast<std::size_t>(state.range(0));
   const KernelBuffers buf(nwords);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table->popcount_and(buf.a.data(), buf.b.data(), nwords));
+    benchmark::DoNotOptimize(bits::popcount_and(buf.a.data(), buf.b.data(), nwords));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(2 * nwords * sizeof(std::uint64_t)) *
                           state.iterations());
-  state.SetLabel(bits::kernel_backend_name(static_cast<bits::KernelBackend>(state.range(0))));
 }
-BENCHMARK(BM_KernelPopcountAnd)->Apply(KernelArgs);
+BENCHMARK(BM_KernelPopcountAnd)->Arg(16)->Arg(128);
 
 void BM_KernelIntersectInterval(benchmark::State& state) {
-  const bits::KernelTable* table =
-      bits::kernel_table(static_cast<bits::KernelBackend>(state.range(0)));
-  const auto nwords = static_cast<std::size_t>(state.range(1));
+  const auto nwords = static_cast<std::size_t>(state.range(0));
   KernelBuffers buf(nwords);
   const std::size_t lo = 3, hi = nwords * bits::kWordBits - 2;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table->intersect_interval(buf.a.data(), buf.b.data(), buf.mask.data(),
-                                                       buf.dst.data(), nwords, lo, hi));
+    benchmark::DoNotOptimize(bits::intersect_interval(buf.a.data(), buf.b.data(), buf.mask.data(),
+                                                      buf.dst.data(), nwords, lo, hi));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(4 * nwords * sizeof(std::uint64_t)) *
                           state.iterations());
-  state.SetLabel(bits::kernel_backend_name(static_cast<bits::KernelBackend>(state.range(0))));
 }
-BENCHMARK(BM_KernelIntersectInterval)->Apply(KernelArgs);
+BENCHMARK(BM_KernelIntersectInterval)->Arg(16)->Arg(128);
 
 void BM_KernelIntersectAbove(benchmark::State& state) {
-  const bits::KernelTable* table =
-      bits::kernel_table(static_cast<bits::KernelBackend>(state.range(0)));
-  const auto nwords = static_cast<std::size_t>(state.range(1));
+  const auto nwords = static_cast<std::size_t>(state.range(0));
   KernelBuffers buf(nwords);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        table->intersect_above(buf.a.data(), buf.mask.data(), buf.dst.data(), nwords, 5));
+        bits::intersect_above(buf.a.data(), buf.mask.data(), buf.dst.data(), nwords, 5));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(3 * nwords * sizeof(std::uint64_t)) *
                           state.iterations());
-  state.SetLabel(bits::kernel_backend_name(static_cast<bits::KernelBackend>(state.range(0))));
 }
-BENCHMARK(BM_KernelIntersectAbove)->Apply(KernelArgs);
+BENCHMARK(BM_KernelIntersectAbove)->Arg(16)->Arg(128);
 
 void BM_ApproxCommunityDegeneracyOrder(benchmark::State& state) {
   const Graph g = social_like(20'000, 150'000, 0.4, 11);

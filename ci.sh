@@ -56,11 +56,11 @@ run_config() {
   echo "==== [${name}] ctest ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" ${label_args[@]+"${label_args[@]}"}
   if [ "${name}" = "release" ]; then
-    # The whole suite again with the bit-kernel dispatch pinned to scalar:
-    # proves every result is backend-independent end to end, and keeps the
-    # portable fallback a first-class, fully-tested configuration. (The
-    # vector backends themselves run under ASan/UBSan/TSan via the default
-    # dispatch in the other configs plus the per-backend parity tests.)
+    # The whole suite again with the search pinned to its baseline build:
+    # proves every result is build-independent end to end, and keeps the
+    # portable build a first-class, fully-tested configuration. (The POPCNT
+    # build runs under ASan/UBSan/TSan via the default selection in the
+    # other configs.)
     echo "==== [${name}] ctest (C3_KERNEL=scalar) ===="
     C3_KERNEL=scalar ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
     # Perf-trajectory smoke: a small prepared k-sweep per algorithm. Emits
@@ -91,9 +91,10 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_server" --out BENCH_pr6.json
-    # Kernel smoke: the fused intersect kernels per backend (micro) and the
-    # smoke graphs counted scalar vs host-vector per algorithm (end-to-end),
-    # counts cross-checked backend vs backend. Emits BENCH_pr7.json.
+    # Kernel smoke: the reference bit ops (micro) and the smoke graphs
+    # counted by the baseline vs the host's search build per algorithm
+    # (end-to-end), counts cross-checked build vs build; the report goes to
+    # the --out file below.
     echo "==== [${name}] bench smoke (kernels) ===="
     if [ ! -x "${dir}/bench/bench_kernels" ]; then
       echo "bench_kernels not built (is C3_BUILD_BENCH off?)" >&2
@@ -119,10 +120,10 @@ run_config() {
 
 # On x86-64, checks the per-file ISA gating in the built objects: the POPCNT
 # search build (recursive_popcnt.cpp) must run hardware POPCNT and never call
-# libgcc's __popcountdi2, and no object outside the ISA-gated TUs (that one
-# and bitkernels_avx2/avx512.cpp) may contain a popcnt instruction — the
-# library must still start on hardware without it. A missing objdump is an
-# error, not a skip.
+# libgcc's __popcountdi2, no other object may contain a popcnt instruction —
+# the library must still start on hardware without it — and no object may
+# use a 256- or 512-bit vector register (ymm/zmm): the search's own word
+# loops are the only bit kernels. A missing objdump is an error, not a skip.
 isa_gate_check() {
   local dir="$1"
   case "$(uname -m)" in
@@ -149,19 +150,23 @@ isa_gate_check() {
     echo "${fast} has no popcnt instruction: is C3_SEARCH_POPCNT defined for it?" >&2
     exit 1
   fi
-  local obj offenders=()
+  local obj offenders=() wide=()
   while IFS= read -r obj; do
-    case "$(basename "${obj}")" in
-      bitkernels_avx2.cpp.o|bitkernels_avx512.cpp.o|recursive_popcnt.cpp.o) continue ;;
-    esac
+    if objdump -d "${obj}" | grep -E '%[yz]mm[0-9]' >/dev/null; then wide+=("${obj}"); fi
+    [ "$(basename "${obj}")" = recursive_popcnt.cpp.o ] && continue
     if objdump -d "${obj}" | grep -P '\tpopcnt\s' >/dev/null; then offenders+=("${obj}"); fi
   done < <(find "${dir}" -name '*.o')
   if [ ${#offenders[@]} -gt 0 ]; then
-    echo "popcnt instructions outside the ISA-gated TUs:" >&2
+    echo "popcnt instructions outside recursive_popcnt.cpp.o:" >&2
     printf '  %s\n' "${offenders[@]}" >&2
     exit 1
   fi
-  echo "ISA gate ok: ${fast} runs POPCNT; no other object does"
+  if [ ${#wide[@]} -gt 0 ]; then
+    echo "ymm/zmm registers in built objects:" >&2
+    printf '  %s\n' "${wide[@]}" >&2
+    exit 1
+  fi
+  echo "ISA gate ok: ${fast} runs POPCNT; no other object does, and none uses ymm/zmm"
 }
 
 # Starts c3serve --demo on an ephemeral port, drives queries over /dev/tcp,

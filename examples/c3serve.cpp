@@ -173,11 +173,9 @@ int main(int argc, char** argv) {
   // test) parse it to find an ephemeral port.
   std::printf("c3serve: listening on %s:%d (%zu graphs, cache %zu entries)\n",
               opts.bind_address.c_str(), server.port(), service.size(), opts.cache_capacity);
-  const bits::KernelBackend backend = bits::active_kernel_backend();
-  std::printf(
-      "c3serve: bit kernels: %s, search=%s (best on this host: %s; override with C3_KERNEL)\n",
-      bits::kernel_backend_name(backend), search_build_name(backend),
-      bits::kernel_backend_name(bits::best_kernel_backend()));
+  std::printf("c3serve: search build: %s (best on this host: %s; override with C3_KERNEL)\n",
+              bits::kernel_backend_name(bits::active_kernel_backend()),
+              bits::kernel_backend_name(bits::best_kernel_backend()));
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_signal);

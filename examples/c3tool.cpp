@@ -318,9 +318,8 @@ int cmd_inspect(const CommandLine& cli) {
   if (info.has(snapshot::kArtifactExactDegeneracy)) artifacts += " exact-degeneracy";
   std::printf("artifacts (mask 0x%x):%s\n", info.artifact_mask,
               artifacts.empty() ? " none" : artifacts.c_str());
-  const bits::KernelBackend backend = bits::active_kernel_backend();
-  std::printf("kernel: %s, search=%s (best on this host: %s)\n",
-              bits::kernel_backend_name(backend), search_build_name(backend),
+  std::printf("search build: %s (best on this host: %s)\n",
+              bits::kernel_backend_name(bits::active_kernel_backend()),
               bits::kernel_backend_name(bits::best_kernel_backend()));
   Table t({"section", "offset", "bytes", "elements", "checksum"});
   for (const snapshot::SectionInfo& s : info.sections) {

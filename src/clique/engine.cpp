@@ -530,10 +530,8 @@ Answer PreparedGraph::run(const Query& query, obs::TraceContext* trace) const {
                     end_ns > search_start_ns ? end_ns - search_start_ns : 0);
     trace->mark_truncated(answer.truncated);
     trace->annotate("algorithm", algorithm_name(opts_.algorithm));
-    // The backend also picks the recursion build (DESIGN.md §7).
-    const bits::KernelBackend backend = bits::active_kernel_backend();
-    trace->annotate("kernel_backend", bits::kernel_backend_name(backend));
-    trace->annotate("search_build", search_build_name(backend));
+    // Which build of the recursions ran (DESIGN.md §7, "Search builds").
+    trace->annotate("search_build", bits::kernel_backend_name(bits::active_kernel_backend()));
     const CliqueStats& s = answer.stats;
     // dense_subproblems counts the searches routed to the bitset local-graph
     // path; with top_level_tasks it answers "which representation ran".

@@ -98,7 +98,7 @@ class PreparedGraph {
 
   /// run() with telemetry: when `trace` is non-null the engine records
   /// Prepare and Search spans into it and annotates the search — algorithm,
-  /// kernel backend, dense-vs-CSR routing, and the CliqueStats work counters
+  /// search build, dense-vs-CSR routing, and the CliqueStats work counters
   /// (recursive_calls, leaf_work, ...). Also feeds the per-kind registry
   /// metrics (c3_queries_total{kind=...}, c3_query_seconds{kind=...}) when
   /// telemetry is enabled; a null trace with obs off costs one branch.

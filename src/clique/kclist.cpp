@@ -192,8 +192,8 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
         CliqueScratch& w = scratch.local();
 
         // Dense-subproblem path (counting only): when N+(u) is dense
-        // enough, re-represent it as a bitset LocalGraph and run the
-        // vertex-growth recursion on the SIMD kernels instead of the CSR
+        // enough, re-represent it as a bitset LocalGraph and count it by
+        // pivoting (search_cliques_vertex_all) instead of the CSR
         // sub-degree recursion. The arc bound costs one pass over N+(u).
         if (callback == nullptr) {
           std::int64_t arcs_upper = 0;

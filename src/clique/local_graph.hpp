@@ -14,11 +14,10 @@
 // orientation is the natural `<` on local ids and the paper's distance
 // function delta_I is an index difference in the sorted candidate array.
 //
-// Storage follows the kernel substrate contract (util/bitkernels.hpp): rows
-// live in 64-byte-aligned memory with a per-row stride of
-// kernel_stride_words(n) — exact for communities of <= 256 vertices, padded
-// to the 512-bit vector width above that — and padding words stay zero so
-// the SIMD kernels can run tail-free over whole rows.
+// Storage follows the row storage contract (util/bitkernels.hpp): rows live
+// in 64-byte-aligned memory with a per-row stride of kernel_stride_words(n),
+// exactly the words_for(n) words that hold n bits, and the bits past n stay
+// zero so the search's popcounts can run over whole words.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +45,7 @@ class LocalGraph {
   /// Number of local vertices.
   [[nodiscard]] int size() const noexcept { return n_; }
 
-  /// Words per bitset row (the kernel stride — padding words are zero).
+  /// Words per bitset row (bits past size() are zero).
   [[nodiscard]] int words() const noexcept { return words_; }
 
   /// Adds the undirected edge {a, b} (sets both direction bits).

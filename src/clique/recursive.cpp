@@ -1,16 +1,17 @@
 // The baseline build of Algorithm 2 (recursive_impl.hpp) and the dispatch
 // between it and the -mpopcnt build in recursive_popcnt.cpp.
 #include "clique/recursive_impl.hpp"
+#include "util/bitkernels.hpp"
 
 namespace c3 {
 namespace {
 
-constexpr detail::SearchBuild kBaselineBuild{cliques_all, vertex_all, "baseline"};
+constexpr detail::SearchBuild kBaselineBuild{cliques_all, vertex_all};
 
-/// The scalar backend runs the baseline build; every vector backend runs the
-/// POPCNT build when there is one (AVX2 and AVX-512 hosts always have POPCNT).
+/// The scalar backend runs the baseline build, the popcnt backend the POPCNT
+/// build (which set_kernel_backend admits only when it is compiled in).
 const detail::SearchBuild& search_build(bits::KernelBackend backend) noexcept {
-  if (backend != bits::KernelBackend::Scalar) {
+  if (backend == bits::KernelBackend::Popcnt) {
     if (const detail::SearchBuild* fast = detail::popcnt_search_build()) return *fast;
   }
   return kBaselineBuild;
@@ -49,10 +50,6 @@ count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth,
 
 count_t search_cliques_vertex_all(SearchContext& ctx, int c) {
   return search_build(bits::active_kernel_backend()).vertex_all(ctx, c);
-}
-
-const char* search_build_name(bits::KernelBackend backend) noexcept {
-  return search_build(backend).name;
 }
 
 }  // namespace c3

@@ -32,7 +32,8 @@
 //
 // The recursions live in recursive_impl.hpp, compiled twice: a baseline
 // build and, on x86-64, a -mpopcnt build; the entries below pick one from
-// the active bit-kernel backend on every call (search_build_name).
+// the active backend on every call (bits::active_kernel_backend, named by
+// bits::kernel_backend_name).
 #pragma once
 
 #include <atomic>
@@ -155,9 +156,9 @@ struct SearchContext {
 
  private:
   std::vector<int> cand_pool_;
-  // Community/candidate masks follow the kernel storage contract
+  // Community/candidate masks follow the row storage contract
   // (util/bitkernels.hpp): 64-byte-aligned pool, stride = the LocalGraph's
-  // padded row stride, padding words zero.
+  // row stride, bits past the universe zero.
   bits::KernelWords mask_pool_;
   std::size_t cand_stride_ = 0;
   std::size_t cand_depth_ = 0;
@@ -224,11 +225,5 @@ count_t search_base_case(SearchContext& ctx, std::span<const Member> members, To
 /// ArbCount and kcList's dense-subproblem path; sizes the scratch itself.
 /// Counts of c >= 3 pivot, as the pair growth's do.
 [[nodiscard]] count_t search_cliques_vertex_all(SearchContext& ctx, int c);
-
-/// The build of the recursions the backend `b` runs (DESIGN.md §7, "Search
-/// builds"): "popcnt" — compiled with -mpopcnt — for every vector backend on
-/// an x86-64 host, "baseline" for the scalar backend and on other targets.
-/// Both builds take identical steps; only the instructions differ.
-[[nodiscard]] const char* search_build_name(bits::KernelBackend b) noexcept;
 
 }  // namespace c3

@@ -12,8 +12,7 @@
 // most the degeneracy), where the interval mask, the intersection, the leaf
 // popcounts and the candidate walks compile to straight-line word ops with
 // no clear loop and no out-of-line call; 0 reads the width from the
-// LocalGraph at run time. Rows of up to kKernelInlineWords words run inline;
-// wider ones dispatch to the active kernel table (util/bitkernels.hpp).
+// LocalGraph at run time, and its word loops run inline at every width.
 #pragma once
 
 #include <algorithm>
@@ -21,11 +20,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <type_traits>
 
 #include "clique/combinatorics.hpp"
 #include "clique/recursive.hpp"
-#include "util/bitkernels.hpp"
 #include "util/bitwords.hpp"
 
 namespace c3::detail {
@@ -35,11 +32,10 @@ struct SearchBuild {
   count_t (*cliques_all)(SearchContext& ctx, int c, bool triangle_growth,
                          std::optional<std::span<const int>> candidates);
   count_t (*vertex_all)(SearchContext& ctx, int c);
-  const char* name;
 };
 
 /// The -mpopcnt build, or nullptr when it is not compiled in (not x86-64,
-/// or the compiler lacks the flag) or the CPU lacks POPCNT.
+/// or the compiler lacks the flag).
 [[nodiscard]] const SearchBuild* popcnt_search_build() noexcept;
 
 }  // namespace c3::detail
@@ -47,7 +43,6 @@ struct SearchBuild {
 namespace c3 {
 namespace {
 
-using bits::kKernelInlineWords;
 using bits::word_index;
 
 [[nodiscard]] std::uint64_t popcount64(std::uint64_t w) noexcept {
@@ -65,7 +60,6 @@ template <int kWords>
 }
 
 [[nodiscard]] std::uint64_t popcount(const std::uint64_t* a, std::size_t words) noexcept {
-  if (words > kKernelInlineWords) return bits::kernels().popcount(a, words);
   std::uint64_t total = 0;
   for (std::size_t w = 0; w < words; ++w) total += popcount64(a[w]);
   return total;
@@ -73,28 +67,16 @@ template <int kWords>
 
 [[nodiscard]] std::uint64_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
                                          std::size_t words) noexcept {
-  if (words > kKernelInlineWords) return bits::kernels().popcount_and(a, b, words);
   std::uint64_t total = 0;
   for (std::size_t w = 0; w < words; ++w) total += popcount64(a[w] & b[w]);
   return total;
-}
-
-/// Calls f(i) for every set bit i of a & b, ascending.
-template <typename F>
-void for_each_bit_and(const std::uint64_t* a, const std::uint64_t* b, std::size_t words, F&& f) {
-  if (words <= kKernelInlineWords) return bits::for_each_bit_and(a, b, words, f);
-  using Fn = std::remove_reference_t<F>;
-  bits::kernels().for_each_bit_and(
-      a, b, words, const_cast<void*>(static_cast<const void*>(&f)),
-      [](void* ctx, std::size_t bit) { (*static_cast<Fn*>(ctx))(bit); });
 }
 
 /// dst = row_a & row_b & mask & open-interval(a, b); returns |dst|.
 /// This is line 8 of Algorithm 2: I' <- I ∩ C(e), where the community of
 /// (a, b) inside the local DAG is exactly the common neighborhood restricted
 /// to vertices ordered strictly between a and b. AND3 + interval masking +
-/// popcount in one pass over the interval's words; an interval spanning more
-/// than kKernelInlineWords words runs the active backend's fused kernel.
+/// popcount in one pass over the interval's words.
 template <int kWords>
 int intersect_community(const std::uint64_t* row_a, const std::uint64_t* row_b,
                         const std::uint64_t* mask, std::size_t words, int a, int b,
@@ -114,9 +96,6 @@ int intersect_community(const std::uint64_t* row_a, const std::uint64_t* row_b,
   } else {
     const std::size_t wlo = word_index(lo);
     const std::size_t whi = word_index(hi);
-    if (whi - wlo >= kKernelInlineWords)
-      return static_cast<int>(
-          bits::kernels().intersect_interval(row_a, row_b, mask, dst, words, lo, hi));
     bits::clear_words(dst, words);
     const std::uint64_t head = ~std::uint64_t{0} << (lo % bits::kWordBits);
     const std::uint64_t tail = ~std::uint64_t{0} >> (63 - hi % bits::kWordBits);
@@ -142,8 +121,6 @@ std::uint64_t intersect_above(const std::uint64_t* row, const std::uint64_t* mas
     return popcount64(dst[0]);
   } else {
     const std::size_t wx = word_index(x);
-    if (words > kKernelInlineWords && words - wx > kKernelInlineWords)
-      return bits::kernels().intersect_above(row, mask, dst, words, x);
     for (std::size_t w = 0; w < wx; ++w) dst[w] = 0;
     dst[wx] = row[wx] & mask[wx] & ((~std::uint64_t{0} << (x % bits::kWordBits)) << 1);
     std::uint64_t count = popcount64(dst[wx]);
@@ -197,7 +174,7 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
     count_t emitted = 0;
     for (const int a : I) {
       if (ctx.poll_stop()) break;
-      for_each_bit_and(lg.row(a), I_mask, words, [&](std::size_t b) {
+      bits::for_each_bit_and(lg.row(a), I_mask, words, [&](std::size_t b) {
         if (ctx.poll_stop() || static_cast<int>(b) <= a) return;
         ctx.clique_stack.push_back(ctx.member_to_orig[a]);
         ctx.clique_stack.push_back(ctx.member_to_orig[b]);
@@ -412,9 +389,6 @@ std::uint64_t intersect_span(const std::uint64_t* a, const std::uint64_t* b, std
     dst[0] = a[0] & b[0];
     return popcount64(dst[0]);
   } else {
-    if (words > kKernelInlineWords)
-      return bits::kernels().intersect_interval(a, b, b, dst, words, 0,
-                                                words * bits::kWordBits - 1);
     std::uint64_t count = 0;
     for (std::size_t w = 0; w < words; ++w) {
       dst[w] = a[w] & b[w];

@@ -181,9 +181,7 @@ std::string LineFrontEnd::stats_line() const {
           " cache_cross_k_hits=" + std::to_string(s.cache.cross_k_hits);
   line += " recursive_calls=" + std::to_string(s.recursive_calls) +
           " closed_form_sets=" + std::to_string(s.closed_form_sets);
-  const bits::KernelBackend backend = bits::active_kernel_backend();
-  line += std::string(" kernel=") + bits::kernel_backend_name(backend) +
-          " search=" + search_build_name(backend);
+  line += std::string(" search=") + bits::kernel_backend_name(bits::active_kernel_backend());
   if (stats_suffix_) {
     // one_line: a multi-line suffix must not corrupt the one-answer-per-line
     // protocol (the suffix source is caller code the front end cannot vet).

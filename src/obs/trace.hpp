@@ -4,7 +4,7 @@
 // Every request through the serving stack carries one TraceContext. The
 // layers it crosses each record a *stage span* — parse, admission wait,
 // cache lookup, prepare, search, format, socket write — plus search-side
-// annotations (algorithm, kernel backend, dense-vs-CSR routing, the
+// annotations (algorithm, search build, dense-vs-CSR routing, the
 // CliqueStats work counters), so one record answers "where did this
 // request's time go" the way the paper's per-phase tables answer it for a
 // whole run. A context is owned by exactly one connection thread; recording

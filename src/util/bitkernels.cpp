@@ -1,186 +1,79 @@
 #include "util/bitkernels.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+
+#include <strings.h>
 
 namespace c3::bits {
 namespace {
 
-// ------------------------------------------------------------ scalar table
 // Thin non-inline shims over the bitwords.hpp reference helpers so the table
 // entries have external-call-compatible addresses.
 
-void scalar_and_into(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t nwords) {
-  and_into(dst, a, b, nwords);
-}
-
-void scalar_and_assign(std::uint64_t* dst, const std::uint64_t* a, std::size_t nwords) {
-  and_assign(dst, a, nwords);
-}
-
-std::uint64_t scalar_popcount(const std::uint64_t* a, std::size_t nwords) {
-  return popcount(a, nwords);
-}
-
-std::uint64_t scalar_popcount_and(const std::uint64_t* a, const std::uint64_t* b,
-                                  std::size_t nwords) {
+std::uint64_t reference_popcount_and(const std::uint64_t* a, const std::uint64_t* b,
+                                     std::size_t nwords) {
   return popcount_and(a, b, nwords);
 }
 
-std::uint64_t scalar_popcount_and3(const std::uint64_t* a, const std::uint64_t* b,
-                                   const std::uint64_t* c, std::size_t nwords) {
-  return popcount_and3(a, b, c, nwords);
-}
-
-std::uint64_t scalar_intersect_interval(const std::uint64_t* a, const std::uint64_t* b,
-                                        const std::uint64_t* mask, std::uint64_t* dst,
-                                        std::size_t nwords, std::size_t lo, std::size_t hi) {
+std::uint64_t reference_intersect_interval(const std::uint64_t* a, const std::uint64_t* b,
+                                           const std::uint64_t* mask, std::uint64_t* dst,
+                                           std::size_t nwords, std::size_t lo, std::size_t hi) {
   return intersect_interval(a, b, mask, dst, nwords, lo, hi);
 }
 
-std::uint64_t scalar_intersect_above(const std::uint64_t* a, const std::uint64_t* mask,
-                                     std::uint64_t* dst, std::size_t nwords, std::size_t x) {
-  return intersect_above(a, mask, dst, nwords, x);
-}
+constexpr KernelTable kReferenceTable{reference_popcount_and, reference_intersect_interval};
 
-void scalar_for_each_bit_and(const std::uint64_t* a, const std::uint64_t* b, std::size_t nwords,
-                             void* ctx, void (*fn)(void* ctx, std::size_t bit)) {
-  for_each_bit_and(a, b, nwords, [&](std::size_t bit) { fn(ctx, bit); });
-}
-
-constexpr KernelTable kScalarTable{
-    scalar_and_into,          scalar_and_assign,     scalar_popcount,
-    scalar_popcount_and,      scalar_popcount_and3,  scalar_intersect_interval,
-    scalar_intersect_above,   scalar_for_each_bit_and,
-    KernelBackend::Scalar,
-};
-
-// --------------------------------------------------------------- detection
-
-bool cpu_supports(KernelBackend b) noexcept {
-  switch (b) {
-    case KernelBackend::Scalar:
-      return true;
-    case KernelBackend::AVX2:
-#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
-      return __builtin_cpu_supports("avx2");
+/// Whether the -mpopcnt search build (clique/recursive_popcnt.cpp) is
+/// compiled in and the CPU can run it.
+bool popcnt_available() noexcept {
+#if defined(C3_SEARCH_POPCNT)
+  return __builtin_cpu_supports("popcnt");
 #else
-      return false;
-#endif
-    case KernelBackend::AVX512:
-#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vpopcntdq");
-#else
-      return false;
-#endif
-    case KernelBackend::NEON:
-#if defined(__aarch64__)
-      return true;  // AdvSIMD is mandatory on AArch64
-#else
-      return false;
-#endif
-  }
   return false;
+#endif
 }
+
+// Scalar before the startup selection below runs: the baseline build
+// starts on every host.
+constinit std::atomic<KernelBackend> g_active{KernelBackend::Scalar};
 
 }  // namespace
 
-namespace detail {
-// Backend TUs define these; each returns nullptr when its ISA was not
-// compiled in (flag probe failed or wrong architecture).
-const KernelTable* avx2_table() noexcept;
-const KernelTable* avx512_table() noexcept;
-const KernelTable* neon_table() noexcept;
-
-constinit std::atomic<const KernelTable*> g_active{&kScalarTable};
-}  // namespace detail
-
 const KernelTable* kernel_table(KernelBackend b) noexcept {
-  if (!cpu_supports(b)) return nullptr;
-  switch (b) {
-    case KernelBackend::Scalar:
-      return &kScalarTable;
-    case KernelBackend::AVX2:
-      return detail::avx2_table();
-    case KernelBackend::AVX512:
-      return detail::avx512_table();
-    case KernelBackend::NEON:
-      return detail::neon_table();
-  }
-  return nullptr;
+  if (b == KernelBackend::Popcnt && !popcnt_available()) return nullptr;
+  return &kReferenceTable;
 }
 
 KernelBackend active_kernel_backend() noexcept {
-  return detail::g_active.load(std::memory_order_acquire)->backend;
+  return g_active.load(std::memory_order_acquire);
 }
 
 const char* kernel_backend_name(KernelBackend b) noexcept {
-  switch (b) {
-    case KernelBackend::Scalar:
-      return "scalar";
-    case KernelBackend::AVX2:
-      return "avx2";
-    case KernelBackend::AVX512:
-      return "avx512";
-    case KernelBackend::NEON:
-      return "neon";
-  }
-  return "unknown";
+  return b == KernelBackend::Popcnt ? "popcnt" : "scalar";
 }
 
 std::vector<KernelBackend> available_kernel_backends() {
-  std::vector<KernelBackend> out;
-  for (const KernelBackend b :
-       {KernelBackend::AVX2, KernelBackend::AVX512, KernelBackend::NEON}) {
-    if (kernel_table(b) != nullptr) out.push_back(b);
-  }
-  out.push_back(KernelBackend::Scalar);
-  return out;
+  if (popcnt_available()) return {KernelBackend::Popcnt, KernelBackend::Scalar};
+  return {KernelBackend::Scalar};
 }
 
 KernelBackend best_kernel_backend() noexcept {
-  // AVX2 outranks AVX-512 on purpose. The search loops interleave short
-  // kernel calls with scalar bookkeeping, and 512-bit ops trigger license-
-  // based frequency throttling on the Xeon generations that dominate server
-  // fleets — BENCH_pr7 measured the avx512 tables losing end to end on
-  // exactly the workloads whose tight-loop microbench they win. Opt in with
-  // C3_KERNEL=avx512 on hardware that doesn't downclock (Ice Lake+).
-  for (const KernelBackend b :
-       {KernelBackend::AVX2, KernelBackend::AVX512, KernelBackend::NEON}) {
-    if (kernel_table(b) != nullptr) return b;
-  }
-  return KernelBackend::Scalar;
+  return popcnt_available() ? KernelBackend::Popcnt : KernelBackend::Scalar;
 }
 
 bool set_kernel_backend(KernelBackend b) noexcept {
-  const KernelTable* table = kernel_table(b);
-  if (table == nullptr) return false;
-  detail::g_active.store(table, std::memory_order_release);
+  if (kernel_table(b) == nullptr) return false;
+  g_active.store(b, std::memory_order_release);
   return true;
 }
 
 bool parse_kernel_backend(const char* name, KernelBackend& out) noexcept {
   if (name == nullptr) return false;
-  char lower[16];
-  std::size_t len = 0;
-  for (; name[len] != '\0'; ++len) {
-    if (len + 1 >= sizeof(lower)) return false;
-    const char c = name[len];
-    lower[len] = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-  }
-  lower[len] = '\0';
-  if (std::strcmp(lower, "scalar") == 0) {
+  if (strcasecmp(name, "scalar") == 0) {
     out = KernelBackend::Scalar;
-  } else if (std::strcmp(lower, "avx2") == 0) {
-    out = KernelBackend::AVX2;
-  } else if (std::strcmp(lower, "avx512") == 0) {
-    out = KernelBackend::AVX512;
-  } else if (std::strcmp(lower, "neon") == 0) {
-    out = KernelBackend::NEON;
-  } else if (std::strcmp(lower, "auto") == 0) {
+  } else if (strcasecmp(name, "auto") == 0) {
     out = best_kernel_backend();
   } else {
     return false;
@@ -190,22 +83,15 @@ bool parse_kernel_backend(const char* name, KernelBackend& out) noexcept {
 
 namespace {
 
-// Startup selection: C3_KERNEL override when set and runnable, else the best
-// backend the CPU supports. Runs once before main via a static initializer;
-// any kernel call earlier than that safely hits the constinit scalar table.
+// Startup selection: C3_KERNEL=scalar pins the baseline build, anything
+// else takes the best backend the host supports. Runs once before main via
+// a static initializer; any search earlier than that runs the baseline.
 struct StartupSelection {
   StartupSelection() noexcept {
     KernelBackend pick = best_kernel_backend();
     if (const char* env = std::getenv("C3_KERNEL"); env != nullptr && env[0] != '\0') {
-      KernelBackend requested{};
-      if (!parse_kernel_backend(env, requested)) {
-        std::fprintf(stderr, "c3: ignoring unknown C3_KERNEL='%s' (want scalar|avx2|avx512|neon|auto)\n",
-                     env);
-      } else if (kernel_table(requested) == nullptr) {
-        std::fprintf(stderr, "c3: C3_KERNEL=%s unavailable on this host, using %s\n",
-                     kernel_backend_name(requested), kernel_backend_name(pick));
-      } else {
-        pick = requested;
+      if (!parse_kernel_backend(env, pick)) {
+        std::fprintf(stderr, "c3: ignoring unknown C3_KERNEL='%s' (want scalar|auto)\n", env);
       }
     }
     (void)set_kernel_backend(pick);

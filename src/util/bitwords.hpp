@@ -147,8 +147,7 @@ constexpr void for_each_bit_and(const std::uint64_t* a, const std::uint64_t* b, 
 /// This is one recursion step of Algorithm 2 (I' <- I ∩ C(e), where the
 /// community of the pair is the common neighborhood restricted to vertices
 /// ordered strictly between the endpoints) collapsed into a single pass.
-/// When hi < lo the destination is cleared and the count is 0. The scalar
-/// reference for the vector backends in util/bitkernels.hpp.
+/// When hi < lo the destination is cleared and the count is 0.
 constexpr std::uint64_t intersect_interval(const std::uint64_t* a, const std::uint64_t* b,
                                            const std::uint64_t* mask, std::uint64_t* dst,
                                            std::size_t nwords, std::size_t lo,
@@ -173,8 +172,7 @@ constexpr std::uint64_t intersect_interval(const std::uint64_t* a, const std::ui
 
 /// Fused suffix intersect+count: dst = a & mask restricted to bits strictly
 /// greater than `x`, zero at and below; returns popcount(dst). One step of
-/// the vertex-growth recursions (candidates after x adjacent to x). The
-/// scalar reference for the vector backends in util/bitkernels.hpp.
+/// the vertex-growth recursions (candidates after x adjacent to x).
 constexpr std::uint64_t intersect_above(const std::uint64_t* a, const std::uint64_t* mask,
                                         std::uint64_t* dst, std::size_t nwords,
                                         std::size_t x) noexcept {

@@ -2,7 +2,7 @@
 // succinct clique tree instead of walking Algorithm 2 (DESIGN.md §7,
 // "Counting by pivoting"). These tests hold its counts to independent
 // counters — a plain clique enumeration, Algorithm 2's listing walk and
-// kcList's CSR recursion — on universes and source spans of one to three
+// kcList's CSR recursion — on universes and source spans of one to five
 // words, check that its counters are the same on every backend and worker
 // count, and pin a dense-blocks count that only pivoting makes cheap.
 #include <gtest/gtest.h>
@@ -69,7 +69,7 @@ Graph cored_graph(node_t n, edge_t m, node_t core, edge_t core_edges, std::uint6
 }
 
 TEST(PivotCount, EngineAgreesWithEnumerationAndTheWalk) {
-  // Universes of one to three words, the top-level set the whole universe
+  // Universes of one to five words, the top-level set the whole universe
   // or a subset starting past word 0 (its span then starts mid-universe),
   // each with a dense but incomplete block planted across word edges: the
   // pivot count equals a plain enumeration and Algorithm 2's listing walk,
@@ -77,8 +77,8 @@ TEST(PivotCount, EngineAgreesWithEnumerationAndTheWalk) {
   // on every backend.
   const SettingsGuard guard;
   std::mt19937 rng(23);
-  for (const int n : {12, 64, 65, 100, 130, 190}) {
-    std::bernoulli_distribution edge(n <= 65 ? 0.45 : 0.2);
+  for (const int n : {12, 64, 65, 100, 130, 190, 300}) {
+    std::bernoulli_distribution edge(n <= 65 ? 0.45 : n <= 190 ? 0.2 : 0.1);
     std::bernoulli_distribution keep(0.9);
     std::vector<std::vector<char>> adj(static_cast<std::size_t>(n),
                                        std::vector<char>(static_cast<std::size_t>(n), 0));

@@ -178,10 +178,10 @@ TEST(RecursiveEngine, VertexGrowthListsCliques) {
 }
 
 TEST(RecursiveEngine, ScalarBackendMatchesHostDefault) {
-  // Same graph, same counts, with the dispatch pinned to scalar vs whatever
-  // the host selected — the substrate must be invisible to results.
+  // Same graph, same counts, with the search pinned to its baseline build vs
+  // whatever the host selected — the build must be invisible to results.
   std::mt19937 rng(11);
-  EngineFixture f(150);  // wide enough for padded (8-word) rows
+  EngineFixture f(150);  // three-word rows
   std::bernoulli_distribution edge(0.3);
   for (int a = 0; a < 150; ++a) {
     for (int b = a + 1; b < 150; ++b) {
@@ -285,23 +285,26 @@ SearchTrace run_search(const LocalGraph& lg, Growth growth, int c, bool listing,
 
 TEST(RecursiveEngine, BackendsAndWidthsAgreeWithBruteForce) {
   // Universes on both sides of the one-word path (<= 64 vertices) and of
-  // the word boundaries; every backend runs its own search build (baseline
-  // for scalar, POPCNT for the x86-64 vector backends). Same work, cheaper
-  // operations: counts match brute force and every work counter is
+  // the word boundaries, up to 11-word rows; every backend runs its own
+  // search build (baseline for scalar, POPCNT for popcnt). Same work,
+  // cheaper operations: counts match brute force and every work counter is
   // identical across backends.
   const BackendGuard guard;
   const std::vector<bits::KernelBackend> backends = bits::available_kernel_backends();
   std::mt19937 rng(16);
-  for (const int n : {1, 2, 63, 64, 65, 128, 129, 300}) {
-    // Dense with seeded missing edges (sparser at 300 vertices, whose wide
-    // rows send the long intervals through the kernel table), plus a planted
-    // clique over bits 0, 62/63/64, 127/128 and 255/256, so community
-    // intervals start at bit 0 and end on either side of word boundaries.
-    std::bernoulli_distribution missing(n <= 64 ? 0.4 : n <= 129 ? 0.5 : 0.85);
+  for (const int n : {1, 2, 63, 64, 65, 128, 129, 300, 513, 700}) {
+    // Dense with seeded missing edges (sparser on the wide universes, whose
+    // long intervals span more than four words), plus a planted clique over
+    // bits 0, 62/63/64, 127/128, 255/256 and 511/512, so community intervals
+    // start at bit 0 and end on either side of word boundaries.
+    std::bernoulli_distribution missing(n <= 64    ? 0.4
+                                        : n <= 129 ? 0.5
+                                        : n <= 300 ? 0.85
+                                                   : 0.97);
     std::vector<std::vector<char>> adj(static_cast<std::size_t>(n),
                                        std::vector<char>(static_cast<std::size_t>(n), 0));
     std::vector<int> planted;
-    for (const int v : {0, 1, 62, 63, 64, 65, 127, 128, 255, 256, 299}) {
+    for (const int v : {0, 1, 62, 63, 64, 65, 127, 128, 255, 256, 299, 511, 512, 699}) {
       if (v < n) planted.push_back(v);
     }
     for (int a = 0; a < n; ++a) {
@@ -332,9 +335,8 @@ TEST(RecursiveEngine, BackendsAndWidthsAgreeWithBruteForce) {
             const SearchTrace t = run_search(lg, growth, c, listing);
             const std::string where = "n=" + std::to_string(n) + " c=" + std::to_string(c) +
                                       " growth=" + std::to_string(static_cast<int>(growth)) +
-                                      " listing=" + std::to_string(listing) + " backend=" +
-                                      bits::kernel_backend_name(b) + " search=" +
-                                      search_build_name(b);
+                                      " listing=" + std::to_string(listing) + " search=" +
+                                      bits::kernel_backend_name(b);
             EXPECT_EQ(t.count, expected) << where;
             if (b == backends.front()) {
               reference = t;
@@ -360,12 +362,13 @@ TEST(RecursiveEngine, CandidateSubsetAgreesWithCompactUniverse) {
   // must take the same steps: same cliques, same work counters — and the
   // same intersection_words while both universes are one word (wider
   // universes span more words per interval). Universes on both sides of
-  // the one-word path and the word boundaries, every backend.
+  // the one-word path and the word boundaries, up to 11-word rows, every
+  // backend.
   const BackendGuard guard;
   const std::vector<bits::KernelBackend> backends = bits::available_kernel_backends();
   std::mt19937 rng(20);
-  for (const int n : {1, 63, 64, 65, 129, 300}) {
-    std::bernoulli_distribution edge(n <= 65 ? 0.5 : n <= 129 ? 0.35 : 0.15);
+  for (const int n : {1, 63, 64, 65, 129, 300, 513, 700}) {
+    std::bernoulli_distribution edge(n <= 65 ? 0.5 : n <= 129 ? 0.35 : n <= 300 ? 0.15 : 0.04);
     std::bernoulli_distribution pick(0.6);
     LocalGraph universe;
     universe.reset(n);
@@ -379,7 +382,8 @@ TEST(RecursiveEngine, CandidateSubsetAgreesWithCompactUniverse) {
     // larger c have cliques to find and their intervals cross words.
     std::vector<int> I, planted;
     for (int v = 0; v < n; ++v) {
-      const bool edge_bit = v == 0 || v == 63 || v == 64 || v == 128 || v == n - 1;
+      const bool edge_bit =
+          v == 0 || v == 63 || v == 64 || v == 128 || v == 320 || v == 512 || v == n - 1;
       if (edge_bit) planted.push_back(v);
       if (edge_bit || pick(rng)) I.push_back(v);
     }
@@ -406,6 +410,7 @@ TEST(RecursiveEngine, CandidateSubsetAgreesWithCompactUniverse) {
     for (int c = 1; c <= 6; ++c) {
       for (const Growth growth : {Growth::Pair, Growth::Triangle}) {
         for (const bool listing : {false, true}) {
+          SearchTrace reference;  // the first backend's subset search
           for (const bits::KernelBackend b : backends) {
             ASSERT_TRUE(bits::set_kernel_backend(b));
             const std::string where = "n=" + std::to_string(n) + " |I|=" + std::to_string(m) +
@@ -415,6 +420,11 @@ TEST(RecursiveEngine, CandidateSubsetAgreesWithCompactUniverse) {
                                       " backend=" + bits::kernel_backend_name(b);
             SearchTrace subset =
                 run_search(universe, growth, c, listing, std::span<const int>(I));
+            if (b == backends.front()) {
+              reference = subset;
+            } else {
+              EXPECT_EQ(subset, reference) << where;  // every counter, every build
+            }
             SearchTrace whole = run_search(compact, growth, c, listing, std::nullopt,
                                            &compact_to_universe);
             if (!one_word) subset.intersection_words = whole.intersection_words;
@@ -427,15 +437,22 @@ TEST(RecursiveEngine, CandidateSubsetAgreesWithCompactUniverse) {
 }
 
 TEST(RecursiveEngine, SearchBuildFollowsBackend) {
-  EXPECT_STREQ(search_build_name(bits::KernelBackend::Scalar), "baseline");
-  for (const bits::KernelBackend b : bits::available_kernel_backends()) {
-    if (b == bits::KernelBackend::Scalar) continue;
+  // The backends are the search builds: the baseline build always, the
+  // POPCNT build first when the host runs it (never off x86-64).
+  const std::vector<bits::KernelBackend> backends = bits::available_kernel_backends();
+  ASSERT_FALSE(backends.empty());
+  EXPECT_EQ(backends.back(), bits::KernelBackend::Scalar);
+  EXPECT_EQ(backends.front(), bits::best_kernel_backend());
+  const bool popcnt = backends.front() == bits::KernelBackend::Popcnt;
+  EXPECT_EQ(backends.size(), popcnt ? 2u : 1u);
+  EXPECT_EQ(bits::kernel_table(bits::KernelBackend::Popcnt) != nullptr, popcnt);
 #if defined(__x86_64__)
-    EXPECT_STREQ(search_build_name(b), "popcnt") << bits::kernel_backend_name(b);
+  EXPECT_EQ(popcnt, __builtin_cpu_supports("popcnt") != 0);
 #else
-    EXPECT_STREQ(search_build_name(b), "baseline") << bits::kernel_backend_name(b);
+  EXPECT_FALSE(popcnt);
 #endif
-  }
+  const BackendGuard guard;
+  EXPECT_EQ(bits::set_kernel_backend(bits::KernelBackend::Popcnt), popcnt);
 }
 
 TEST(RecursiveEngine, LocalGraphResetClearsLazily) {
@@ -471,7 +488,9 @@ TEST(RecursiveEngine, LocalGraphStrideFollowsKernelContract) {
   lg.reset(256);
   EXPECT_EQ(lg.words(), 4);
   lg.reset(257);
-  EXPECT_EQ(lg.words(), 8);  // wide rows pad to the 512-bit width
+  EXPECT_EQ(lg.words(), 5);  // rows are exact at every width
+  lg.reset(513);
+  EXPECT_EQ(lg.words(), 9);
 }
 
 TEST(RecursiveEngine, DenseSubproblemThresholdRoundTrip) {
