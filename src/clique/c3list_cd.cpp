@@ -1,6 +1,9 @@
 #include "clique/c3list_cd.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
@@ -11,35 +14,39 @@
 namespace c3 {
 namespace {
 
-/// Builds the local subgraph over V'(e) = `members` (sorted by vertex id,
-/// which serves as the inner total order): the pair {a, b} is an edge iff it
-/// is an edge of g *and* ordered after e in the edge order. The recursion
-/// must stay within the subgraph (V, E[e <=]) so that e is the unique
-/// lowest-ordered edge of every clique reported under it.
-void build_local_graph_cd(const Graph& g, std::span<const node_t> members,
-                          std::span<const edge_t> edge_pos, edge_t epos, LocalGraph& lg) {
+/// Fills `lg` with G[V'(e)] over `members` = V'(e), sorted by vertex id,
+/// which serves as the inner total order (local id a for members[a]). The
+/// pair {a, b} is an edge iff it is an edge of g *and* ordered after e: the
+/// recursion must stay within the subgraph (V, E[e <=]) so that e is the
+/// unique lowest-ordered edge of every clique reported under it. Each such
+/// edge is a later arc stored at one of its two members, so every member
+/// reads its own later arcs, down to the first at or before e. `slot`
+/// (one entry per vertex, all zero on entry and on return) maps a member to
+/// its local id + 1. A non-member target reads 0; its local id and both bit
+/// masks become 0, so its two writes OR nothing into row 0, and no probe
+/// branches, whatever the row width.
+template <typename Pos>
+void fill_candidate_graph(const EdgeOrderResult& order, std::span<const node_t> members,
+                          edge_t epos, std::vector<std::uint32_t>& slot, LocalGraph& lg) {
   const int n = static_cast<int>(members.size());
-  lg.reset(n);
+  std::uint64_t* rows = lg.reset_for_fill(n);
+  const auto words = static_cast<std::size_t>(lg.words());
+  for (int a = 0; a < n; ++a)
+    slot[members[static_cast<std::size_t>(a)]] = static_cast<std::uint32_t>(a + 1);
   for (int a = 0; a < n; ++a) {
-    const node_t va = members[static_cast<std::size_t>(a)];
-    const auto nbrs = g.neighbors(va);
-    const auto ids = g.edge_ids(va);
-    // Two-pointer over (neighbors of va) x (members above a); each local
-    // edge is discovered once, at its lower endpoint.
-    std::size_t i = 0;
-    std::size_t j = static_cast<std::size_t>(a) + 1;
-    while (i < nbrs.size() && j < members.size()) {
-      if (nbrs[i] < members[j]) {
-        ++i;
-      } else if (nbrs[i] > members[j]) {
-        ++j;
-      } else {
-        if (edge_pos[ids[i]] > epos) lg.add_edge(a, static_cast<int>(j));
-        ++i;
-        ++j;
-      }
+    std::uint64_t* row_a = rows + static_cast<std::size_t>(a) * words;
+    const std::uint64_t bit_a = std::uint64_t{1} << (a & 63);
+    const auto word_a = static_cast<std::size_t>(a >> 6);
+    for (const LaterArc<Pos>& arc : order.later<Pos>(members[static_cast<std::size_t>(a)])) {
+      if (arc.position <= epos) break;
+      const std::uint32_t s = slot[arc.target];
+      const std::uint64_t keep = std::uint64_t{0} - (s != 0);
+      const std::size_t b = (s - 1) & static_cast<std::uint32_t>(keep);
+      row_a[b >> 6] |= (std::uint64_t{1} << (b & 63)) & keep;
+      rows[b * words + word_a] |= bit_a & keep;
     }
   }
+  for (const node_t v : members) slot[v] = 0;
 }
 
 }  // namespace
@@ -64,6 +71,7 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
   result.stats.gamma = gamma;
 
   const auto endpoints = g.endpoints();
+  const bool wide = !order.later_arcs_wide.empty();
   scratch.reset_query(callback);
 
   parallel_for_dynamic(
@@ -83,7 +91,12 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
           return;
         }
         // Algorithm 3, line 4: V' <- community of e among later edges.
-        build_local_graph_cd(g, members, order.pos, order.pos[e], w.lg);
+        if (w.member_slot.size() < g.num_nodes()) w.member_slot.assign(g.num_nodes(), 0);
+        if (wide) {
+          fill_candidate_graph<edge_t>(order, members, order.pos[e], w.member_slot, w.lg);
+        } else {
+          fill_candidate_graph<std::uint32_t>(order, members, order.pos[e], w.member_slot, w.lg);
+        }
         w.ctx.lg = &w.lg;
         // V'(e) members are original vertex ids already.
         w.ctx.member_to_orig = members.data();

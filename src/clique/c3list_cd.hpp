@@ -9,6 +9,14 @@
 // (resp. (3+eps) sigma). Every k-clique is found exactly once, at its
 // lowest-ordered edge; within a candidate set, the vertex order's supporting
 // edge makes the recursion unique (Theorem 4.3).
+//
+// G[V'(e)] is filled from the edge order's later arcs (EdgeOrderResult::
+// later): each member reads only the edges stored at it under the degree
+// orientation, newest first, and stops at the first one at or before e, so
+// no adjacency list is scanned. Members are marked in a per-worker vertex
+// array (CliqueScratch::member_slot, n entries, zero between tasks), and a
+// probe of a non-member sets no bit without branching (see DESIGN.md
+// Section 1).
 #pragma once
 
 #include "clique/c3list.hpp"

@@ -5,8 +5,14 @@
 namespace c3 {
 
 void LocalGraph::reset(int n) {
-  // Invariant: rows_ is all-zero except the rows in dirty_rows_. Clear just
-  // those, under the *old* stride they were written with.
+  // Invariant: rows_ is all-zero except the rows in dirty_rows_ (all n_
+  // rows after reset_for_fill). Clear just those, under the *old* stride
+  // they were written with.
+  if (all_dirty_) {
+    bits::clear_words(rows_.data(),
+                      static_cast<std::size_t>(n_) * static_cast<std::size_t>(words_));
+    all_dirty_ = false;
+  }
   for (const int a : dirty_rows_) {
     bits::clear_words(row_mut(a), static_cast<std::size_t>(words_));
     row_dirty_[static_cast<std::size_t>(a)] = 0;
@@ -21,6 +27,12 @@ void LocalGraph::reset(int n) {
     row_dirty_.resize(static_cast<std::size_t>(n), 0);
   }
   dirty_rows_.reserve(static_cast<std::size_t>(n));  // keeps mark_dirty allocation-free
+}
+
+std::uint64_t* LocalGraph::reset_for_fill(int n) {
+  reset(n);
+  all_dirty_ = true;
+  return rows_.data();
 }
 
 void build_local_graph(const Digraph& dag, std::span<const node_t> members, LocalGraph& lg) {

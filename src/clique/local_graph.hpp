@@ -8,7 +8,9 @@
 // word-parallel ANDs. The universe may be a superset of the candidates
 // searched: c3List builds one table per source u, over N+(u), and searches
 // every community of u's arcs inside it; c3List-CD, the hybrid and the
-// dense paths build the universe they search.
+// dense paths build the universe they search. Most builders set edges one
+// at a time (add_edge); c3List-CD writes the rows itself after
+// reset_for_fill, from its members' later arcs (c3list_cd.hpp).
 //
 // Local ids are assigned in ascending rank order, so the total order of the
 // orientation is the natural `<` on local ids and the paper's distance
@@ -42,6 +44,11 @@ class LocalGraph {
   /// stop paying O(n·words) memset on every top-level edge.
   void reset(int n);
 
+  /// reset(n) for a caller that fills the rows itself: returns the row
+  /// storage (row a at a * words(), every bit zero), and the next reset
+  /// clears all n rows.
+  [[nodiscard]] std::uint64_t* reset_for_fill(int n);
+
   /// Number of local vertices.
   [[nodiscard]] int size() const noexcept { return n_; }
 
@@ -70,7 +77,9 @@ class LocalGraph {
 
   /// Rows touched since the last reset (test/observability hook for the
   /// lazy-clearing invariant).
-  [[nodiscard]] int dirty_rows() const noexcept { return static_cast<int>(dirty_rows_.size()); }
+  [[nodiscard]] int dirty_rows() const noexcept {
+    return all_dirty_ ? n_ : static_cast<int>(dirty_rows_.size());
+  }
 
  private:
   void mark_dirty(int a) noexcept {
@@ -85,6 +94,7 @@ class LocalGraph {
   bits::KernelWords rows_;
   std::vector<std::uint8_t> row_dirty_;
   std::vector<int> dirty_rows_;
+  bool all_dirty_ = false;  // set by reset_for_fill: rows 0..n_ may be dirty
 };
 
 /// Populates `lg` with the subgraph of `dag` induced by `members` (global

@@ -53,6 +53,7 @@ struct CliqueScratch {
   SearchContext ctx;
   std::vector<node_t> member_orig;  // local id -> original vertex id (listing)
   std::vector<int> local_ids;       // c3List: a source's communities in local ids
+  std::vector<std::uint32_t> member_slot;  // c3List-CD: vertex -> local id + 1, else 0
 
   // Hybrid: the out-neighborhood subgraph before the inner-order renaming,
   // plus the inner exact degeneracy order and its scratch.

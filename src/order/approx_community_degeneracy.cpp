@@ -52,7 +52,10 @@ EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
   result.order.reserve(m);
   result.pos.assign(m, static_cast<edge_t>(-1));
   result.candidate_offsets.assign(m + 1, 0);
-  if (m == 0) return result;
+  if (m == 0) {
+    build_later_arcs(g, result);
+    return result;
+  }
 
   // Step 1-2 of Algorithm 4: per-edge triangle counts. Plain storage: only
   // the round update below writes concurrently, through atomic_ref.
@@ -137,6 +140,7 @@ EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
                   static_cast<std::ptrdiff_t>(result.candidate_offsets[e]));
   });
   result.sigma = max_candidates;
+  build_later_arcs(g, result);
   return result;
 }
 

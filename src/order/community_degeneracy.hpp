@@ -13,8 +13,10 @@
 //    analogue of Matula-Beck). The owner-marks kernel lists every edge's
 //    triangles first, O(sum over edges of min(d(u), d(v)) + m) parallel
 //    work, with a transient of 8 bytes per triangle-edge incidence (24 T
-//    bytes); the sequential sweep then walks those lists in O(m + T).
-//    Candidate sets have size at most sigma.
+//    bytes: each incidence is the two partner edges' ids, 32-bit below
+//    2^32 edges); the sequential sweep then walks those lists in O(m + T),
+//    reading a partner's state straight from its id. Candidate sets have
+//    size at most sigma.
 //  * approx_community_degeneracy_order (Algorithm 4) — peels all edges with
 //    at most (3+eps) * T/m remaining triangles per round; O(log_{1+eps} m)
 //    rounds (Observation 6), low depth, candidate sets at most (3+eps) sigma
@@ -25,9 +27,19 @@
 // whose connecting edges (u,w), (v,w) are both ordered *after* e. These are
 // exactly the sets Algorithm 3 recurses on, and each triangle of the graph
 // appears in exactly one candidate set (its lowest-ordered edge's).
+//
+// And both keep the order's *later arcs*, from which Algorithm 3 fills
+// G[V'(e)] without scanning adjacency lists: every edge is stored once, at
+// its endpoint with the smaller (degree, id) (the Chiba-Nishizeki
+// orientation, so a list holds O(sqrt m) arcs), as a (target, position)
+// entry, and each vertex's list runs in descending order position. The
+// edges of G[V'(e)] are exactly the arcs between members positioned after
+// e, so a member's read stops at the first arc at or before e.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -35,6 +47,14 @@
 #include "util/array_store.hpp"
 
 namespace c3 {
+
+/// One later arc: the edge to `target`, at `position` in the edge order.
+/// Positions are 32-bit below 2^32 edges (8-byte arcs) and edge_t above.
+template <typename Pos>
+struct LaterArc {
+  Pos position;
+  node_t target;
+};
 
 // Array members are ArrayStore (vector-compatible when built in memory) so a
 // snapshot-loaded order can borrow mmap-backed sections.
@@ -53,6 +73,14 @@ struct EdgeOrderResult {
   /// Total size equals the number of triangles in the graph.
   ArrayStore<edge_t> candidate_offsets;
   ArrayStore<node_t> candidate_members;
+  /// Later arcs (see the header comment): entries [later_offsets[v] ..
+  /// later_offsets[v+1]) of the filled array are the edges stored at v, in
+  /// descending position. build_later_arcs fills `later_arcs` below 2^32
+  /// edges and `later_arcs_wide` above; the other stays empty. Derived from
+  /// `order`; never serialized.
+  std::vector<edge_t> later_offsets;
+  std::vector<LaterArc<std::uint32_t>> later_arcs;
+  std::vector<LaterArc<edge_t>> later_arcs_wide;
 
   [[nodiscard]] std::span<const node_t> candidates(edge_t e) const noexcept {
     return {candidate_members.data() + candidate_offsets[e],
@@ -62,11 +90,44 @@ struct EdgeOrderResult {
   [[nodiscard]] node_t candidate_count(edge_t e) const noexcept {
     return static_cast<node_t>(candidate_offsets[e + 1] - candidate_offsets[e]);
   }
+
+  /// v's later arcs in the array of `Pos` positions.
+  template <typename Pos>
+  [[nodiscard]] std::span<const LaterArc<Pos>> later(node_t v) const noexcept {
+    const auto& arcs = later_array<Pos>();
+    return {arcs.data() + later_offsets[v], arcs.data() + later_offsets[v + 1]};
+  }
+
+  template <typename Pos>
+  [[nodiscard]] const std::vector<LaterArc<Pos>>& later_array() const noexcept {
+    if constexpr (std::is_same_v<Pos, std::uint32_t>) {
+      return later_arcs;
+    } else {
+      return later_arcs_wide;
+    }
+  }
 };
+
+/// Fills result.later_offsets and, by the number of edges, later_arcs or
+/// later_arcs_wide from result.order, in O(n + m). `order` must be a
+/// permutation of g's edge ids.
+void build_later_arcs(const Graph& g, EdgeOrderResult& result);
+
+/// build_later_arcs with `Pos` positions (std::uint32_t or edge_t) whatever
+/// the number of edges, clearing the other array; the tests run the wide
+/// arcs on small graphs this way. Pos = std::uint32_t needs m < 2^32.
+template <typename Pos>
+void build_later_arcs_with(const Graph& g, EdgeOrderResult& result);
 
 /// Exact greedy community-degeneracy order; result.sigma is the exact
 /// community degeneracy of g.
 [[nodiscard]] EdgeOrderResult community_degeneracy_order(const Graph& g);
+
+/// The exact order with the triangle lists' partner edge ids held as `Id`
+/// (std::uint32_t or edge_t). community_degeneracy_order uses 32-bit ids
+/// below 2^32 edges; both instantiations give byte-identical results.
+template <typename Id>
+[[nodiscard]] EdgeOrderResult community_degeneracy_order_with_ids(const Graph& g);
 
 /// Algorithm 4: (3+eps)-approximate community-degeneracy order with
 /// polylogarithmic round count. `eps` must be > 0.

@@ -245,6 +245,34 @@ void require_offsets(const MappedFile& map, const std::filesystem::path& path,
   }
 }
 
+/// The edge order's later arcs are derived at open from `order` and the
+/// graph's endpoints, and index by both, so a file that slipped past (or
+/// skipped) the checksums must carry an `order` that is a permutation of
+/// [0, m) with `pos` its inverse, and endpoints below n. O(m).
+void require_edge_order(const std::filesystem::path& path, std::span<const edge_t> order,
+                        std::span<const edge_t> pos, std::span<const Edge> endpoints,
+                        std::uint64_t n) {
+  const std::uint64_t m = order.size();
+  for (std::uint64_t i = 0; i < m; ++i) {
+    const edge_t e = order[i];
+    if (e >= m) {
+      fail(path, "edge_order.order: entry " + u64s(i) + " = " + u64s(e) +
+                     " is not an edge id below m = " + u64s(m));
+    }
+    if (pos[e] != i) {
+      fail(path, "edge_order.pos: entry " + u64s(e) + " = " + u64s(pos[e]) +
+                     ", but edge_order.order lists edge " + u64s(e) + " at " + u64s(i) +
+                     " (not a permutation and its inverse)");
+    }
+  }
+  for (std::uint64_t e = 0; e < m; ++e) {
+    if (endpoints[e].u >= n || endpoints[e].v >= n) {
+      fail(path, "graph.endpoints: edge " + u64s(e) + " has an endpoint not below n = " +
+                     u64s(n));
+    }
+  }
+}
+
 CliqueOptions options_from_header(const SnapshotHeader& h, const std::filesystem::path& path) {
   if (h.algorithm > static_cast<std::uint32_t>(Algorithm::BruteForce) ||
       h.vertex_order > static_cast<std::uint32_t>(VertexOrderKind::ById) ||
@@ -519,6 +547,8 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
     order.candidate_members = view_of<node_t>(impl.map, em);
     order.sigma = h.edge_order_sigma;
     order.rounds = h.edge_order_rounds;
+    require_edge_order(path, order.order.span(), order.pos.span(), impl.graph.endpoints(), n);
+    build_later_arcs(impl.graph, order);
     arts.edge_order = std::move(order);
   }
   if ((h.artifact_mask & kArtifactExactDegeneracy) != 0) {

@@ -8,7 +8,11 @@
 // triangle's output location belongs to its owner's task alone, so the
 // builds need no atomics; the scanned lists are sorted, so every output
 // list comes out sorted and no sort pass follows. Each build runs a size
-// pass, a prefix sum, and a fill pass over the same marks.
+// pass, a prefix sum, and a fill pass over the same marks. The per-edge
+// lists of the exact community-degeneracy order hold a triangle as the ids
+// of its two partner edges, read off both endpoints' edge_ids at the
+// probe, so the order's sweep reads a partner's state with no adjacency
+// lookup.
 //
 // Mark arrays belong to one OwnerMarks object, i.e. to one build call, one
 // uint32_t per vertex per worker that ran a task. Concurrent builds (each
@@ -61,19 +65,26 @@ class OwnerMarks {
 /// Every triangle of an undirected graph, listed once per edge it contains
 /// (3T entries), as a CSR keyed by edge id. Entry i in [offsets[e],
 /// offsets[e+1]) is the triangle {u, v, w} of edge e = {u, v} (u < v, as in
-/// Graph::endpoints): slot_u[i] is the position of w in neighbors(u),
-/// slot_v[i] its position in neighbors(v). Each edge's triangles run in
-/// ascending w. 8 bytes per triangle-edge incidence.
+/// Graph::endpoints): partner_u[i] is the id of the edge {u, w},
+/// partner_v[i] the id of {v, w}. Each edge's triangles run in ascending w.
+/// `Id` is std::uint32_t below 2^32 edges (8 bytes per triangle-edge
+/// incidence) and edge_t otherwise.
+template <typename Id>
 struct EdgeTriangles {
-  std::vector<node_t> counts;         // m, = offsets[e+1] - offsets[e]
-  std::vector<edge_t> offsets;        // m+1
-  std::vector<std::uint32_t> slot_u;  // 3T
-  std::vector<std::uint32_t> slot_v;  // 3T
+  std::vector<node_t> counts;  // m, = offsets[e+1] - offsets[e]
+  std::vector<edge_t> offsets; // m+1
+  std::vector<Id> partner_u;   // 3T
+  std::vector<Id> partner_v;   // 3T
 };
 
 /// Lists the triangles of g per edge. An edge is owned by its endpoint with
 /// the larger (degree, id), whose task marks its neighbourhood and scans the
-/// other endpoint's: O(sum over edges of min(d(u), d(v)) + m) work.
-[[nodiscard]] EdgeTriangles list_edge_triangles(const Graph& g);
+/// other endpoint's: O(sum over edges of min(d(u), d(v)) + m) work. `Id`
+/// must hold every edge id of g.
+template <typename Id>
+[[nodiscard]] EdgeTriangles<Id> list_edge_triangles(const Graph& g);
+
+extern template EdgeTriangles<std::uint32_t> list_edge_triangles(const Graph& g);
+extern template EdgeTriangles<edge_t> list_edge_triangles(const Graph& g);
 
 }  // namespace c3

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <thread>
 
 #include "graph/builder.hpp"
@@ -14,6 +15,7 @@
 #include "triangle/communities.hpp"
 #include "triangle/reference_builders.hpp"
 #include "triangle/triangle_count.hpp"
+#include "triangle/triangle_kernel.hpp"
 
 namespace c3 {
 namespace {
@@ -175,12 +177,22 @@ std::vector<T> bytes(std::span<const T> s) {
   return {s.begin(), s.end()};
 }
 
+template <typename Pos>
+bool same(const std::vector<LaterArc<Pos>>& a, const std::vector<LaterArc<Pos>>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const LaterArc<Pos>& x, const LaterArc<Pos>& y) {
+                      return x.position == y.position && x.target == y.target;
+                    });
+}
+
 bool same(const EdgeOrderResult& a, const EdgeOrderResult& b) {
   return bytes<edge_t>(a.order) == bytes<edge_t>(b.order) &&
          bytes<edge_t>(a.pos) == bytes<edge_t>(b.pos) && a.sigma == b.sigma &&
          a.rounds == b.rounds &&
          bytes<edge_t>(a.candidate_offsets) == bytes<edge_t>(b.candidate_offsets) &&
-         bytes<node_t>(a.candidate_members) == bytes<node_t>(b.candidate_members);
+         bytes<node_t>(a.candidate_members) == bytes<node_t>(b.candidate_members) &&
+         a.later_offsets == b.later_offsets && same(a.later_arcs, b.later_arcs) &&
+         same(a.later_arcs_wide, b.later_arcs_wide);
 }
 
 bool same(const EdgeCommunities& a, const EdgeCommunities& b) {
@@ -193,8 +205,22 @@ TEST(CommunityDegeneracy, ByteIdenticalToReferenceBuilders) {
     SCOPED_TRACE(workers);
     const int saved = set_num_workers(workers);
     for (const Graph& g : reference::graphs()) {
-      EXPECT_TRUE(same(community_degeneracy_order(g), reference::community_degeneracy_order(g)))
+      const EdgeOrderResult want = reference::community_degeneracy_order(g);
+      EXPECT_TRUE(same(community_degeneracy_order(g), want))
           << "exact, n=" << g.num_nodes() << " m=" << g.num_edges();
+      // Both widths of the triangle lists' partner edge ids.
+      EXPECT_TRUE(same(community_degeneracy_order_with_ids<std::uint32_t>(g), want))
+          << "exact, 32-bit ids, n=" << g.num_nodes() << " m=" << g.num_edges();
+      EXPECT_TRUE(same(community_degeneracy_order_with_ids<edge_t>(g), want))
+          << "exact, 64-bit ids, n=" << g.num_nodes() << " m=" << g.num_edges();
+      const EdgeTriangles<std::uint32_t> narrow = list_edge_triangles<std::uint32_t>(g);
+      const EdgeTriangles<edge_t> wide = list_edge_triangles<edge_t>(g);
+      EXPECT_EQ(narrow.counts, wide.counts);
+      EXPECT_EQ(narrow.offsets, wide.offsets);
+      EXPECT_TRUE(std::equal(narrow.partner_u.begin(), narrow.partner_u.end(),
+                             wide.partner_u.begin(), wide.partner_u.end()));
+      EXPECT_TRUE(std::equal(narrow.partner_v.begin(), narrow.partner_v.end(),
+                             wide.partner_v.begin(), wide.partner_v.end()));
       EXPECT_TRUE(same(approx_community_degeneracy_order(g, 0.5),
                        reference::approx_community_degeneracy_order(g, 0.5)))
           << "approx, n=" << g.num_nodes() << " m=" << g.num_edges();

@@ -282,6 +282,58 @@ TEST_F(SnapshotTest, RejectsAnInteriorOffsetPastItsSection) {
   EXPECT_EQ(checked.size(), 4u);
 }
 
+TEST_F(SnapshotTest, RejectsAnEdgeOrderThatIsNotAPermutation) {
+  // open() derives c3List-CD's later arcs from edge_order.order and the
+  // graph's endpoints, indexing by both. With checksums off, an order that
+  // is not a permutation of [0, m) with pos its inverse, or an endpoint past
+  // n, must be refused naming the section, not indexed out of bounds.
+  const Graph g = erdos_renyi(80, 600, 3);
+  CliqueOptions opts;
+  opts.algorithm = Algorithm::C3ListCD;
+  const PreparedGraph engine(g, opts);
+  engine.prepare();
+  const auto path = dir_ / "cd.c3snap";
+  snapshot::write(path, engine);
+  snapshot::SnapshotOpenOptions trusting;
+  trusting.verify_checksums = false;
+  ASSERT_EQ(open_error(path, trusting), "");
+  const snapshot::SnapshotInfo info = snapshot::inspect(path);
+  const auto section = [&](const std::string& name) {
+    for (const snapshot::SectionInfo& s : info.sections)
+      if (s.name == name) return s;
+    ADD_FAILURE() << "no section " << name;
+    return snapshot::SectionInfo{};
+  };
+  const auto order = section("edge_order.order");
+  const auto pos = section("edge_order.pos");
+  const auto endpoints = section("graph.endpoints");
+  const edge_t m = g.num_edges();
+  const EdgeOrderResult& built = *engine.edge_order_if_built();
+  int case_id = 0;
+  const auto tampered_error = [&](const snapshot::SectionInfo& target, std::uint64_t offset,
+                                  auto value) {
+    const auto copy = dir_ / ("tampered" + std::to_string(case_id++) + ".c3snap");
+    std::filesystem::copy_file(path, copy);
+    patch(copy, target.offset + offset, value);
+    return open_error(copy, trusting);
+  };
+
+  // An order entry past the edge ids.
+  std::string error = tampered_error(order, 7 * sizeof(edge_t), edge_t{m + 5});
+  EXPECT_NE(error.find("edge_order.order: entry 7"), std::string::npos) << error;
+  // A repeated edge (entry 3 copies entry 4): every entry is below m, but
+  // pos cannot be the inverse.
+  error = tampered_error(order, 3 * sizeof(edge_t), edge_t{built.order[4]});
+  EXPECT_NE(error.find("edge_order.pos: entry"), std::string::npos) << error;
+  // A pos entry off by one.
+  const edge_t e = built.order[10];
+  error = tampered_error(pos, e * sizeof(edge_t), edge_t{11});
+  EXPECT_NE(error.find("edge_order.pos: entry " + std::to_string(e)), std::string::npos) << error;
+  // An endpoint past the vertices.
+  error = tampered_error(endpoints, 5 * sizeof(Edge) + sizeof(node_t), node_t{1} << 20);
+  EXPECT_NE(error.find("graph.endpoints: edge 5"), std::string::npos) << error;
+}
+
 TEST_F(SnapshotTest, RejectsCorruptSectionPayloadNamingTheSection) {
   const Graph g = erdos_renyi(80, 600, 3);
   const PreparedGraph engine(g, {});

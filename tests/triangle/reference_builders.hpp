@@ -1,12 +1,14 @@
 // Test-only reference builders: the edge-community and community-degeneracy
 // builders as they stood before the owner-marks triangle kernel (two
 // neighbourhood merges per edge, atomic scatters, per-community sorts),
-// kept verbatim apart from the names, so the tests can assert that the
-// kernel-based builders produce byte-identical arrays on graphs().
+// kept verbatim apart from the names and the later arcs each order returns
+// (with_later_arcs), so the tests can assert that the kernel-based builders
+// produce byte-identical arrays on graphs().
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -24,6 +26,35 @@
 #include "triangle/triangle_count.hpp"
 
 namespace c3::reference {
+
+/// The edge order's later arcs by their definition, with no shared code:
+/// each vertex collects the edges whose other endpoint has the larger
+/// (degree, id), tagged with their positions, and sorts them by descending
+/// position. 32-bit positions: the graphs here have far fewer than 2^32
+/// edges.
+inline EdgeOrderResult with_later_arcs(const Graph& g, EdgeOrderResult result) {
+  using Arc = LaterArc<std::uint32_t>;
+  const node_t n = g.num_nodes();
+  std::vector<std::vector<Arc>> lists(n);
+  for (node_t x = 0; x < n; ++x) {
+    const auto nx = g.neighbors(x);
+    const auto ids = g.edge_ids(x);
+    for (std::size_t i = 0; i < nx.size(); ++i) {
+      const node_t y = nx[i];
+      const bool x_holds = g.degree(x) < g.degree(y) || (g.degree(x) == g.degree(y) && x < y);
+      if (x_holds) lists[x].push_back(Arc{static_cast<std::uint32_t>(result.pos[ids[i]]), y});
+    }
+    std::sort(lists[x].begin(), lists[x].end(),
+              [](const Arc& a, const Arc& b) { return a.position > b.position; });
+  }
+  result.later_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  result.later_arcs.clear();
+  for (node_t x = 0; x < n; ++x) {
+    result.later_arcs.insert(result.later_arcs.end(), lists[x].begin(), lists[x].end());
+    result.later_offsets[x + 1] = result.later_arcs.size();
+  }
+  return result;
+}
 
 inline EdgeCommunities build_communities(const Digraph& dag) {
   const edge_t m = dag.num_arcs();
@@ -111,7 +142,7 @@ inline EdgeOrderResult community_degeneracy_order(const Graph& g) {
   result.candidate_offsets.assign(m + 1, 0);
   if (m == 0) {
     result.rounds = 0;
-    return result;
+    return with_later_arcs(g, std::move(result));
   }
   result.rounds = static_cast<node_t>(m);  // one edge per "round": linear depth
 
@@ -199,7 +230,7 @@ inline EdgeOrderResult community_degeneracy_order(const Graph& g) {
   // Members arrive in merge order (ascending w) per edge already, but the
   // sweep interleaves edges; the scatter above preserves per-edge order, and
   // per-edge enumeration is ascending — so each set is already sorted.
-  return result;
+  return with_later_arcs(g, std::move(result));
 }
 
 /// Per-edge merge over the endpoints' neighborhoods, invoking
@@ -238,7 +269,7 @@ inline EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double 
   result.order.reserve(m);
   result.pos.assign(m, static_cast<edge_t>(-1));
   result.candidate_offsets.assign(m + 1, 0);
-  if (m == 0) return result;
+  if (m == 0) return with_later_arcs(g, std::move(result));
 
   // Step 1-2 of Algorithm 4: per-edge triangle counts.
   std::vector<std::atomic<node_t>> cnt(m);
@@ -335,7 +366,7 @@ inline EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double 
                   static_cast<std::ptrdiff_t>(result.candidate_offsets[e]));
   });
   result.sigma = max_candidates;
-  return result;
+  return with_later_arcs(g, std::move(result));
 }
 
 /// The graphs the byte-identity tests sweep: dense, triangle-free, the
